@@ -15,7 +15,7 @@ are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -154,3 +154,25 @@ class DroneScale:
             evaluation_attempts=100,
             repeats=100,
         )
+
+
+#: Scale presets by name: ``name -> (GridWorldScale factory, DroneScale factory)``.
+SCALE_PRESETS = {
+    "tiny": (GridWorldScale.tiny, DroneScale.tiny),
+    "fast": (GridWorldScale.fast, DroneScale.fast),
+    "paper": (GridWorldScale.paper, DroneScale.paper),
+}
+
+
+def preset_scales(name: str, seed: Optional[int] = None) -> Tuple[GridWorldScale, DroneScale]:
+    """The GridWorld and drone scales of preset ``name``, re-seeded unless ``seed`` is None.
+
+    Every campaign front door (one-shot runs, ``orchestrate``, the campaign
+    service) turns its scale name and seed into scales here, so a shard or a
+    served campaign plans exactly what a one-shot run of the same options does.
+    """
+    gridworld_factory, drone_factory = SCALE_PRESETS[name]
+    gridworld, drone = gridworld_factory(), drone_factory()
+    if seed is None:
+        return gridworld, drone
+    return gridworld.with_seed(seed), drone.with_seed(seed)

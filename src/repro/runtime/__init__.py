@@ -27,7 +27,6 @@ _LAZY_EXPORTS = {
     "default_worker_count": "repro.runtime.runner",
     "CampaignJournal": "repro.runtime.journal",
     "JournalProgress": "repro.runtime.journal",
-    "count_completed_cells": "repro.runtime.journal",
     "plan_fingerprint": "repro.runtime.journal",
     "BackendError": "repro.runtime.backends",
     "BackendScheduler": "repro.runtime.scheduler",
@@ -42,8 +41,6 @@ _LAZY_EXPORTS = {
     "OrchestratorError": "repro.runtime.orchestrator",
     "OrchestratorReport": "repro.runtime.orchestrator",
     "ShardOrchestrator": "repro.runtime.orchestrator",
-    "render_k8s_manifest": "repro.runtime.orchestrator",
-    "render_slurm_script": "repro.runtime.orchestrator",
     "ShardMergeError": "repro.runtime.sharding",
     "ShardRunReport": "repro.runtime.sharding",
     "ShardSpec": "repro.runtime.sharding",

@@ -24,9 +24,12 @@ That is what keeps the byte-identity invariant backend-mix-independent: the
 journals, not the backends, are the wire protocol.
 
 This module is also the single source of truth for shard argv construction:
-:func:`shard_argv` builds the canonical ``--shard k/n`` command used by the
-orchestrator's launches *and* by the ``--emit-slurm`` / ``--emit-k8s``
-template renderers (:func:`render_slurm_script`, :func:`render_k8s_manifest`).
+:func:`shard_argv` builds the canonical ``--shard k/n`` command every
+orchestrated attempt launches, and :func:`shard_forwarded_args` the run
+options it inherits from its campaign (``orchestrate`` and the campaign
+service both use them).  Slurm users get array jobs from ``--backend
+slurm:N,array=on``; anyone driving another scheduler can take the exact
+per-shard commands from ``repro-campaign orchestrate ... --dry-run``.
 
 CLI spelling: ``--backend NAME[:SLOTS][,KEY=VALUE...]`` — e.g. ``local:4``,
 ``ssh:2,host=node7``, ``slurm:16,bin_dir=/opt/slurm/bin,workers=8`` — parsed
@@ -65,10 +68,8 @@ def shard_argv(
     """The canonical argv for one ``--shard`` run.
 
     Single source of truth for shard command construction: the orchestrator
-    launches exactly this argv (with ``program`` set to ``python -m
-    repro.runtime.cli``), and the Slurm/Kubernetes template renderers render
-    it (with ``shard`` left as a scheduler variable like
-    ``${SLURM_ARRAY_TASK_ID}/16``).
+    launches exactly this argv, with ``program`` set to ``python -m
+    repro.runtime.cli`` (or a backend's own program).
     """
     argv = [
         *program,
@@ -84,20 +85,32 @@ def shard_argv(
     return argv
 
 
-def render_shell_command(argv: Sequence[str]) -> str:
-    """Render an argv for a shell template, preserving ``$`` expansions.
+def shard_forwarded_args(
+    *,
+    scale: str,
+    workers: int,
+    batch_cells: int = 1,
+    vectorize: str = "auto",
+    seed: Optional[int] = None,
+    cache_dir=None,
+) -> List[str]:
+    """The run options every ``--shard`` run of a campaign inherits.
 
-    Tokens containing ``${`` or ``$((`` (scheduler variables like
-    ``${SLURM_ARRAY_TASK_ID}/16``) are double-quoted so the shell still
-    expands them; everything else is ``shlex``-quoted.
+    ``orchestrate`` and the campaign service both forward a campaign's
+    options through here into :func:`shard_argv`, so each shard plans exactly
+    what a one-shot run with the same options plans.  Options at their CLI
+    default are left out, except the scale and pool size.
     """
-    rendered = []
-    for token in argv:
-        if "${" in token or "$((" in token:
-            rendered.append(f'"{token}"')
-        else:
-            rendered.append(shlex.quote(token))
-    return " ".join(rendered)
+    forwarded = ["--scale", scale, "--workers", str(workers)]
+    if batch_cells > 1:
+        forwarded += ["--batch-cells", str(batch_cells)]
+    if vectorize != "auto":
+        forwarded += ["--vectorize", vectorize]
+    if seed is not None:
+        forwarded += ["--seed", str(seed)]
+    if cache_dir is not None:
+        forwarded += ["--cache-dir", str(cache_dir)]
+    return forwarded
 
 
 # ------------------------------------------------------------------- handles
@@ -846,105 +859,3 @@ def build_backends(specs: Sequence) -> List[ExecutionBackend]:
         if count > 1:
             backend.name = f"{backend.name}#{count}"
     return backends
-
-
-# ------------------------------------------------------------------ templates
-def render_slurm_script(
-    experiment_id: str,
-    shard_count: int,
-    *,
-    journal_dir,
-    workers_per_shard: int = 1,
-    shard_args: Sequence[str] = (),
-    time_limit: str = "04:00:00",
-) -> str:
-    """A ready-to-submit Slurm array-job script for an ``n``-way sharded run.
-
-    Each array task runs one ``--shard k/n --resume`` invocation — the exact
-    argv :func:`shard_argv` builds for the orchestrator's own launches — so
-    Slurm's ``--requeue`` machinery resumes a preempted shard from its
-    journal.  Merge afterwards with ``--merge-only`` from any node that sees
-    ``journal_dir``.
-    """
-    command = render_shell_command(
-        shard_argv(
-            experiment_id,
-            f"${{SLURM_ARRAY_TASK_ID}}/{shard_count}",
-            journal_dir,
-            shard_args=["--workers", str(workers_per_shard), *shard_args],
-            resume=True,
-        )
-    )
-    return f"""#!/bin/bash
-#SBATCH --job-name=frlfi-{experiment_id}
-#SBATCH --array=1-{shard_count}
-#SBATCH --ntasks=1
-#SBATCH --cpus-per-task={workers_per_shard}
-#SBATCH --time={time_limit}
-#SBATCH --requeue
-# One array task per shard; --resume makes a requeued task continue from its
-# journal in the shared store instead of recomputing finished cells.
-{command}
-
-# After the whole array completes, merge from any node:
-#   repro-campaign {experiment_id} --merge-only \\
-#     --journal-dir {shlex.quote(str(journal_dir))} --output results/
-"""
-
-
-def render_k8s_manifest(
-    experiment_id: str,
-    shard_count: int,
-    *,
-    journal_dir,
-    workers_per_shard: int = 1,
-    shard_args: Sequence[str] = (),
-    image: str = "frl-fi-repro:latest",
-    journal_claim: str = "frlfi-journals",
-) -> str:
-    """A ready-to-submit Kubernetes indexed-Job manifest for a sharded run.
-
-    ``completionMode: Indexed`` gives each pod a ``JOB_COMPLETION_INDEX``
-    which maps to ``--shard $((index+1))/n`` — again the exact
-    :func:`shard_argv` command; ``restartPolicy: OnFailure`` plus ``--resume``
-    means a rescheduled pod continues from its shard journal on the shared
-    volume (``journal_claim``).  Merge afterwards with ``--merge-only`` from
-    any pod mounting the same volume.
-    """
-    shard_command = render_shell_command(
-        shard_argv(
-            experiment_id,
-            f"$((JOB_COMPLETION_INDEX + 1))/{shard_count}",
-            journal_dir,
-            shard_args=["--workers", str(workers_per_shard), *shard_args],
-            resume=True,
-        )
-    )
-    return f"""apiVersion: batch/v1
-kind: Job
-metadata:
-  name: frlfi-{experiment_id}
-spec:
-  completions: {shard_count}
-  parallelism: {shard_count}
-  completionMode: Indexed
-  backoffLimit: {shard_count * 3}
-  template:
-    spec:
-      restartPolicy: OnFailure
-      containers:
-        - name: shard
-          image: {image}
-          command: ["/bin/sh", "-c"]
-          args:
-            - {shard_command}
-          volumeMounts:
-            - name: journals
-              mountPath: {journal_dir}
-      volumes:
-        - name: journals
-          persistentVolumeClaim:
-            claimName: {journal_claim}
-# After the Job completes, merge from any pod mounting the journal volume:
-#   repro-campaign {experiment_id} --merge-only --journal-dir {journal_dir} --output results/
-"""

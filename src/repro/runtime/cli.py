@@ -1,35 +1,13 @@
 """``repro-campaign`` — run paper artifacts from the command line.
 
-Examples::
-
-    repro-campaign --list
-    repro-campaign fig3a fig4 --scale tiny --workers 4 --output results/
-    repro-campaign fig3a --replicates 3 --seed 7   # 3 independent seeds
-    repro-campaign fig5a --workers 4 --batch-cells 4 --output results/
-    repro-campaign fig5a --workers 4 --output results/ --resume  # after a kill
-
-    # Sharded multi-machine campaign, driven end to end (launch, watch,
-    # retry failed shards with --resume, merge) by the orchestrator:
-    repro-campaign orchestrate fig6a --shards 4 --workers-per-shard 2 --output results/
-
-    # Under the hood (or by a real scheduler): each machine runs a disjoint
-    # shard into a shared store, then any machine merges — byte-identical to
-    # a single-machine run.
-    repro-campaign fig6a --shard 1/2 --journal-dir /shared/journals   # machine A
-    repro-campaign fig6a --shard 2/2 --journal-dir /shared/journals   # machine B
-    repro-campaign fig6a --merge-only --journal-dir /shared/journals --output results/
-
-    # Compact every journal + orchestrator report into a queryable sqlite
-    # store, then slice it (schemas documented in docs/RESULTS.md):
-    repro-campaign ingest /shared/journals
-    repro-campaign query slice fig6a --by ber --journal-dir /shared/journals
-
-    # Resident campaign service: one daemon multiplexes many concurrent
-    # campaigns (priorities, per-tenant quotas) over one backend roster:
-    repro-campaign serve --journal-dir /shared/journals --backend local:4
-    repro-campaign submit fig6a --journal-dir /shared/journals --label nightly
-    repro-campaign tail nightly --journal-dir /shared/journals
-    repro-campaign cancel nightly --journal-dir /shared/journals
+``repro-campaign EXP ...`` runs artifacts in this process: serially or on a
+process pool, as one ``--shard`` of a multi-machine campaign, or merging
+shard journals with ``--merge-only``.  The subcommands in :data:`SUBCOMMANDS`
+drive a sharded campaign end to end (``orchestrate``), compact and query
+results (``ingest``, ``query``), and run or talk to the resident campaign
+service (``serve``, ``submit``, ``status``, ``tail``, ``cancel``).
+``repro-campaign --help`` and ``repro-campaign <subcommand> --help`` show
+worked examples.
 
 Replicate seeds are derived with ``numpy.random.SeedSequence.spawn`` (see
 :func:`repro.runtime.cells.derive_cell_seeds`), so adding replicates never
@@ -44,39 +22,33 @@ byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import logging
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.config import DroneScale, GridWorldScale
+from repro.core.config import SCALE_PRESETS, preset_scales
 from repro.core.pretrained import PolicyCache
 from repro.runtime.cells import derive_cell_seeds
 from repro.runtime.plans import decomposed_experiment_ids, plannable_experiment_ids
 from repro.runtime.runner import CampaignRunner, default_worker_count
 from repro.runtime.sharding import ShardRunReport, ShardSpec
-from repro.utils.serialization import save_json
-
-_SCALE_PRESETS = {
-    "tiny": (GridWorldScale.tiny, DroneScale.tiny),
-    "fast": (GridWorldScale.fast, DroneScale.fast),
-    "paper": (GridWorldScale.paper, DroneScale.paper),
-}
-
+from repro.utils.serialization import save_result
 
 _EPILOG = """\
 examples:
   repro-campaign --list
   repro-campaign fig3a fig4 --scale tiny --workers 4 --output results/
+  repro-campaign fig3a --replicates 3 --seed 7                      # 3 independent seeds
   repro-campaign fig5a --workers 4 --output results/                # ... killed partway
   repro-campaign fig5a --workers 4 --output results/ --resume       # finish the rest
 
   # sharded multi-machine campaign, driven end to end (launch, watch, retry
   # failed shards with --resume, merge) by the orchestrator:
   repro-campaign orchestrate fig6a --shards 4 --workers-per-shard 2 --output results/
-  repro-campaign orchestrate fig6a --shards 16 --emit-slurm fig6a.sbatch \\
-      --journal-dir /shared/journals                                # render, don't run
 
   # under the hood (or from a real scheduler): one --shard run per machine
   # into a shared journal store, then any machine merges
@@ -98,81 +70,279 @@ examples:
   repro-campaign tail nightly --journal-dir /shared/journals
   repro-campaign cancel nightly --journal-dir /shared/journals
 
-`repro-campaign orchestrate --help` documents the orchestrator's own options;
-`repro-campaign ingest --help` and `repro-campaign query --help` document the
-result store (schemas in docs/RESULTS.md); `repro-campaign serve --help`
-documents the resident campaign service.
+`repro-campaign <subcommand> --help` documents each subcommand's own options;
+the result store's schemas are in docs/RESULTS.md.
+"""
+
+_ORCHESTRATE_EPILOG = """\
+examples:
+  # 4 concurrent shard subprocesses, 2 pool workers each, retry a failed or
+  # stalled shard (resuming from its journal) up to 2 times, then merge:
+  repro-campaign orchestrate fig6a --shards 4 --workers-per-shard 2 --output results/
+
+  # mixed execution backends with capacity-aware scheduling: 2 shard slots on
+  # this machine, 4 over ssh, 16 as Slurm jobs; a failed shard retries on a
+  # *different* backend (--resume keeps its journaled cells either way):
+  repro-campaign orchestrate fig6a --shards 22 --journal-dir /shared/journals \\
+      --backend local:2 --backend ssh:4,host=node7 --backend slurm:16
+
+  # 16 shards as Slurm array jobs (each wave of launches is one sbatch --array):
+  repro-campaign orchestrate fig6a --shards 16 --journal-dir /shared/journals \\
+      --backend slurm:16,array=on
+
+  # print the shard->backend assignment and the exact per-shard commands (to
+  # wrap in any other scheduler's job format), launch nothing:
+  repro-campaign orchestrate fig6a --shards 4 --journal-dir /shared/journals \\
+      --backend local:1 --backend slurm:3 --dry-run
+
+The merged payload is byte-identical to an unsharded single-machine run; the
+per-shard attempt log (including which backend ran each attempt) lands in
+<journal-dir>/<label>.orchestrator.json.
+"""
+
+_QUERY_EPILOG = """\
+canned queries:
+  campaigns             every ingested campaign with its cell coverage
+  cells LABEL           per-cell outcomes of one campaign, in plan order
+  slice LABEL [--by C]  outcome statistics grouped by one key coordinate
+                        (default: ber — the failure-rate-vs-BER slices)
+  attempts [LABEL]      every orchestrator shard attempt, in order
+  timings [LABEL]       per-backend attempt counts, success rates and durations
+
+examples:
+  repro-campaign ingest /shared/journals
+  repro-campaign query campaigns --store /shared/journals/store.sqlite
+  repro-campaign query cells fig6a --journal-dir /shared/journals --format ndjson
+  repro-campaign query slice fig6a --by ber --journal-dir /shared/journals
+  repro-campaign query timings --journal-dir /shared/journals
+  repro-campaign query --sql "SELECT COUNT(*) FROM cells" --journal-dir /shared/journals
+
+Schemas and more worked examples: docs/RESULTS.md.
+"""
+
+_SERVE_EPILOG = """\
+examples:
+  # daemonize a shared roster: 4 local shard slots + a Slurm partition, with
+  # per-tenant concurrency quotas and crash-safe re-adoption of campaigns
+  # that were in flight when the previous daemon died:
+  repro-campaign serve --journal-dir /shared/journals \\
+      --backend local:4 --backend slurm:16 \\
+      --quota alice=2 --quota bob=2 --default-quota 4 --resume
+
+  # print the resolved roster and quota table, bind nothing:
+  repro-campaign serve --journal-dir /shared/journals --backend local:2 --dry-run
+
+Submissions journal into <journal-dir>/<label>/ and the merged payload lands
+there as <artifact>.json/.txt — byte-identical to a one-shot run of the same
+artifact.  The daemon's own submission/state journal is
+<journal-dir>/service.campaigns.jsonl (records documented in docs/RESULTS.md).
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the main (run/shard/merge) command."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign",
-        description="Run FRL-FI fault-injection campaigns, optionally on a process "
-        "pool; the 'orchestrate' subcommand drives a whole sharded campaign "
-        "(launch, watch, retry, merge) from one terminal.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help="artifact identifiers (fig3a ... fig9, table1), 'all', or a "
-        "subcommand: orchestrate, ingest, query, serve, submit, status, "
-        "tail, cancel",
-    )
-    parser.add_argument("--list", action="store_true", help="list runnable artifacts and exit")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size; 0 picks a machine-sized default "
-        f"(currently {default_worker_count()} here); 1 runs serially",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
+class _AtLeast(argparse.Action):
+    """Store a number, rejecting one below ``floor`` (or equal to it, if ``strict``).
+
+    The rejection is a usage error (exit 2) raised while parsing, before any
+    handler runs: a client command never opens its socket for a bad value.
+    """
+
+    def __init__(self, option_strings, dest, *, floor, strict=False, **kwargs) -> None:
+        super().__init__(option_strings, dest, **kwargs)
+        self.floor = floor
+        self.strict = strict
+
+    def __call__(self, parser, namespace, value, option_string=None) -> None:
+        if value < self.floor or (self.strict and value == self.floor):
+            relation = ">" if self.strict else ">="
+            parser.error(f"{option_string} must be {relation} {self.floor}")
+        setattr(namespace, self.dest, value)
+
+
+#: Every option more than one command takes, defined once as
+#: ``flag -> add_argument keywords``; see :func:`_add_option`.
+_SHARED_OPTIONS = {
+    "--scale": dict(
+        choices=sorted(SCALE_PRESETS),
         default="fast",
         help="workload scale preset (default: fast)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the scales' root seed")
-    parser.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="run each artifact N times under independently derived seeds",
-    )
-    parser.add_argument(
-        "--batch-cells",
-        type=int,
-        default=1,
-        metavar="N",
-        help="group up to N cells into one pool submission to amortize "
-        "process round-trips (default: 1)",
-    )
-    parser.add_argument(
-        "--vectorize",
+    ),
+    "--seed": dict(type=int, default=None, help="root seed of the workload scales"),
+    "--cache-dir": dict(
+        type=Path,
+        default=None,
+        help="policy cache directory shared by planning, pool workers and shards "
+        "(default: $FRLFI_CACHE_DIR or ./.frlfi_cache)",
+    ),
+    "--vectorize": dict(
         choices=("auto", "on", "off"),
         default="auto",
         help="lockstep (vectorized) evaluation of cell groups: 'auto' uses it "
         "where a vectorized runner exists, 'on' fails if one is missing, "
         "'off' forces the serial per-cell path; payloads are byte-identical "
         "either way (default: auto)",
-    )
-    parser.add_argument(
-        "--output",
+    ),
+    "--batch-cells": dict(
+        type=int,
+        action=_AtLeast,
+        floor=1,
+        default=1,
+        metavar="N",
+        help="group up to N cells into one pool submission to amortize "
+        "process round-trips (default: 1)",
+    ),
+    "--shards": dict(
+        type=int,
+        action=_AtLeast,
+        floor=1,
+        metavar="N",
+        help="number of --shard k/N runs the campaign is split into",
+    ),
+    "--workers-per-shard": dict(
+        type=int,
+        action=_AtLeast,
+        floor=1,
+        default=1,
+        metavar="M",
+        help="process-pool size inside each shard run (default: 1)",
+    ),
+    "--output": dict(
         type=Path,
         default=None,
-        help="directory for per-artifact .json/.txt result files",
-    )
-    parser.add_argument(
-        "--journal-dir",
+        help="directory for the per-artifact .json/.txt result files",
+    ),
+    "--journal-dir": dict(
         type=Path,
         default=None,
-        help="directory for streaming per-artifact JSONL cell journals "
-        "(default: <output>/journals when --output is given)",
+        metavar="DIR",
+        help="journal store for the per-artifact JSONL cell journals, shard "
+        "journals and orchestrator reports (default: <output>/journals when "
+        "--output is given)",
+    ),
+    "--store": dict(
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="sqlite result store file (default: <journal dir>/store.sqlite)",
+    ),
+    "--socket": dict(
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="the campaign service's Unix socket (default: <journal-dir>/service.sock)",
+    ),
+    "--max-retries": dict(
+        type=int,
+        action=_AtLeast,
+        floor=0,
+        default=2,
+        metavar="R",
+        help="retry a failed or stalled shard up to R times, resuming from its "
+        "journal with --resume (default: 2)",
+    ),
+    "--stall-timeout": dict(
+        type=float,
+        action=_AtLeast,
+        floor=0,
+        strict=True,
+        default=None,
+        metavar="SECONDS",
+        help="kill and retry a shard whose journal shows no new cell for this "
+        "many seconds (default: disabled)",
+    ),
+    "--poll-interval": dict(
+        type=float,
+        action=_AtLeast,
+        floor=0,
+        strict=True,
+        default=0.5,
+        metavar="SECONDS",
+        help="how often shard journals are polled for progress (default: 0.5)",
+    ),
+    "--backend": dict(
+        action="append",
+        dest="backends",
+        default=None,
+        metavar="NAME[:SLOTS][,KEY=VALUE...]",
+        help="execution backend for shard attempts, repeatable: local[:slots], "
+        "ssh[:slots],host=NODE, or slurm[:slots][,bin_dir=DIR][,poll=SECONDS]"
+        "[,array=on]; add workers=M to override --workers-per-shard for that "
+        "backend's attempts; the scheduler assigns shards by free slots and a "
+        "retry prefers a different backend than the one that just failed "
+        "(default: one unbounded local backend)",
+    ),
+    "--inject-kill-shard": dict(
+        type=int,
+        default=None,
+        metavar="K",
+        help="chaos-testing hook: SIGKILL shard K's first attempt once it has "
+        "journaled a cell, forcing the retry+--resume path (CI uses this to "
+        "prove the merged payload survives a mid-run kill)",
+    ),
+    "--dry-run": dict(
+        action="store_true",
+        help="print the resolved backend roster and what would run on it, then "
+        "exit without launching, binding or writing anything",
+    ),
+}
+
+
+def _add_option(parser: argparse.ArgumentParser, flag: str, **overrides) -> None:
+    """Add the shared option ``flag``, with some of its keywords replaced."""
+    parser.add_argument(flag, **{**_SHARED_OPTIONS[flag], **overrides})
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the shared options ``flags`` as defined."""
+    for flag in flags:
+        _add_option(parser, flag)
+
+
+def _journal_dir(args) -> Optional[Path]:
+    """``--journal-dir``, defaulting to ``<output>/journals`` when ``--output`` is given."""
+    if args.journal_dir is None and args.output is not None:
+        return args.output / "journals"
+    return args.journal_dir
+
+
+def _build_backends(parser: argparse.ArgumentParser, specs):
+    """The backend roster of the ``--backend`` specs (one local backend if none)."""
+    from repro.runtime.backends import BackendError, build_backends
+
+    try:
+        return build_backends(specs or ["local"])
+    except BackendError as error:
+        parser.error(f"invalid --backend: {error}")
+
+
+# ------------------------------------------------------------ one-shot runs
+def _run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.epilog = _EPILOG
+    parser.add_argument(
+        "experiments",
+        nargs="*",
+        help="artifact identifiers (fig3a ... fig9, table1) or 'all'; in first "
+        f"place, a subcommand instead: {', '.join(SUBCOMMANDS)}",
     )
+    parser.add_argument("--list", action="store_true", help="list runnable artifacts and exit")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        action=_AtLeast,
+        floor=0,
+        default=1,
+        help="process-pool size; 0 picks a machine-sized default "
+        f"(currently {default_worker_count()} here); 1 runs serially",
+    )
+    _add_options(parser, "--scale", "--seed")
+    parser.add_argument(
+        "--replicates",
+        type=int,
+        action=_AtLeast,
+        floor=1,
+        default=1,
+        help="run each artifact N times under independently derived seeds",
+    )
+    _add_options(parser, "--batch-cells", "--vectorize", "--output", "--journal-dir")
     parser.add_argument(
         "--resume",
         action="store_true",
@@ -197,1002 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
         "missing or any journal does not match the plan, e.g.: repro-campaign "
         "fig6a --merge-only --journal-dir /shared/journals --output results/",
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="policy cache directory shared by all workers "
-        "(default: $FRLFI_CACHE_DIR or ./.frlfi_cache)",
-    )
-    return parser
+    _add_options(parser, "--cache-dir")
 
 
-_ORCHESTRATE_EPILOG = """\
-examples:
-  # 4 concurrent shard subprocesses, 2 pool workers each, retry a failed or
-  # stalled shard (resuming from its journal) up to 2 times, then merge:
-  repro-campaign orchestrate fig6a --shards 4 --workers-per-shard 2 --output results/
+def _run(parser: argparse.ArgumentParser, args) -> int:
+    """Run FRL-FI fault-injection campaigns, optionally on a process pool.
 
-  # mixed execution backends with capacity-aware scheduling: 2 shard slots on
-  # this machine, 4 over ssh, 16 as Slurm jobs; a failed shard retries on a
-  # *different* backend (--resume keeps its journaled cells either way):
-  repro-campaign orchestrate fig6a --shards 22 --journal-dir /shared/journals \\
-      --backend local:2 --backend ssh:4,host=node7 --backend slurm:16
-
-  # print the shard->backend assignment and exact commands, launch nothing:
-  repro-campaign orchestrate fig6a --shards 4 --journal-dir /shared/journals \\
-      --backend local:1 --backend slurm:3 --dry-run
-
-  # don't run locally — render ready-to-submit cluster templates instead:
-  repro-campaign orchestrate fig6a --shards 16 --journal-dir /shared/journals \\
-      --emit-slurm fig6a.sbatch --emit-k8s fig6a.yaml
-
-The merged payload is byte-identical to an unsharded single-machine run; the
-per-shard attempt log (including which backend ran each attempt) lands in
-<journal-dir>/<label>.orchestrator.json.
-"""
-
-
-def build_orchestrate_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``orchestrate`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign orchestrate",
-        description="Drive a whole sharded campaign from one terminal: launch "
-        "each --shard k/n run as a subprocess, tail the shard journals for "
-        "live progress, retry failed or stalled shards with --resume, and "
-        "merge the shard journals into the final payload.",
-        epilog=_ORCHESTRATE_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "experiment",
-        help="artifact identifier to orchestrate (must decompose into >1 cell, "
-        "e.g. fig6a)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        required=True,
-        metavar="N",
-        help="number of --shard k/N subprocesses to run (all concurrently)",
-    )
-    parser.add_argument(
-        "--workers-per-shard",
-        type=int,
-        default=1,
-        metavar="M",
-        help="process-pool size inside each shard subprocess (default: 1)",
-    )
-    parser.add_argument(
-        "--batch-cells",
-        type=int,
-        default=1,
-        metavar="B",
-        help="forwarded to each shard: group up to B cells per pool submission",
-    )
-    parser.add_argument(
-        "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="forwarded to each shard: lockstep (vectorized) evaluation of "
-        "cell groups (default: auto)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="R",
-        help="retry a failed or stalled shard up to R times, resuming from its "
-        "journal with --resume (default: 2)",
-    )
-    parser.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a shard whose journal shows no new cell for this "
-        "many seconds (default: disabled)",
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="how often shard journals are polled for progress (default: 0.5)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default="fast",
-        help="workload scale preset, forwarded to every shard (default: fast)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="root seed, forwarded to every shard"
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="policy cache directory shared by the orchestrator and all shards "
-        "(default: $FRLFI_CACHE_DIR or ./.frlfi_cache)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="directory for the merged .json/.txt result files",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        type=Path,
-        default=None,
-        help="shared journal store for the shard journals and the orchestrator "
-        "report (default: <output>/journals when --output is given)",
-    )
-    parser.add_argument(
-        "--emit-slurm",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="instead of running locally, write a ready-to-submit Slurm "
-        "array-job script for the sharded campaign to FILE and exit",
-    )
-    parser.add_argument(
-        "--emit-k8s",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="instead of running locally, write a ready-to-submit Kubernetes "
-        "indexed-Job manifest for the sharded campaign to FILE and exit",
-    )
-    parser.add_argument(
-        "--inject-kill-shard",
-        type=int,
-        default=None,
-        metavar="K",
-        help="chaos-testing hook: SIGKILL shard K's first attempt once it has "
-        "journaled a cell, forcing the retry+--resume path (CI uses this to "
-        "prove the merged payload survives a mid-run kill)",
-    )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        dest="backends",
-        default=None,
-        metavar="NAME[:SLOTS][,KEY=VALUE...]",
-        help="execution backend for shard attempts, repeatable: local[:slots], "
-        "ssh[:slots],host=NODE, or slurm[:slots][,bin_dir=DIR][,poll=SECONDS]; "
-        "add workers=M to override --workers-per-shard for that backend's "
-        "attempts; the scheduler assigns shards by free slots and a retry "
-        "prefers a different backend than the one that just failed "
-        "(default: one unbounded local backend)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the resolved shard->backend assignment and the exact "
-        "per-shard commands, then exit without launching anything",
-    )
-    return parser
-
-
-_QUERY_EPILOG = """\
-canned queries:
-  campaigns             every ingested campaign with its cell coverage
-  cells LABEL           per-cell outcomes of one campaign, in plan order
-  slice LABEL [--by C]  outcome statistics grouped by one key coordinate
-                        (default: ber — the failure-rate-vs-BER slices)
-  attempts [LABEL]      every orchestrator shard attempt, in order
-  timings [LABEL]       per-backend attempt counts, success rates and durations
-
-examples:
-  repro-campaign ingest /shared/journals
-  repro-campaign query campaigns --store /shared/journals/store.sqlite
-  repro-campaign query cells fig6a --journal-dir /shared/journals --format ndjson
-  repro-campaign query slice fig6a --by ber --journal-dir /shared/journals
-  repro-campaign query timings --journal-dir /shared/journals
-  repro-campaign query --sql "SELECT COUNT(*) FROM cells" --journal-dir /shared/journals
-
-Schemas and more worked examples: docs/RESULTS.md.
-"""
-
-
-def build_ingest_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``ingest`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign ingest",
-        description="Compact a journal directory's merged journals, shard "
-        "journals and orchestrator reports into a schema-versioned sqlite "
-        "store. Incremental and idempotent: unchanged files are skipped, so "
-        "re-running over the same directory inserts zero rows.",
-        epilog="Schemas: docs/RESULTS.md.",
-    )
-    parser.add_argument(
-        "journal_dirs",
-        nargs="+",
-        type=Path,
-        metavar="JOURNAL_DIR",
-        help="journal director(ies) to ingest",
-    )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="sqlite store file (default: <first JOURNAL_DIR>/store.sqlite)",
-    )
-    return parser
-
-
-def build_query_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``query`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign query",
-        description="Query an ingested result store: canned queries over "
-        "campaigns, cells, slices, attempts and backend timings, or raw SQL "
-        "with --sql.",
-        epilog=_QUERY_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "what",
-        nargs="*",
-        metavar="QUERY [LABEL]",
-        help="canned query name plus its arguments (see below), or nothing "
-        "with --sql",
-    )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="sqlite store file to query",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="shorthand for --store DIR/store.sqlite",
-    )
-    parser.add_argument(
-        "--by",
-        default="ber",
-        metavar="COORD",
-        help="cell-key coordinate for 'slice' grouping (default: ber)",
-    )
-    parser.add_argument(
-        "--fingerprint",
-        default=None,
-        metavar="PREFIX",
-        help="pin 'cells'/'slice' to the campaign whose plan fingerprint "
-        "starts with PREFIX (default: the newest campaign for the label)",
-    )
-    parser.add_argument(
-        "--sql",
-        default=None,
-        metavar="SQL",
-        help="raw SQL escape hatch, instead of a canned query",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("table", "json", "ndjson"),
-        default="table",
-        help="output format (default: table)",
-    )
-    return parser
-
-
-def _ingest_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign ingest ...``."""
-    from repro.runtime.store import ResultStore, StoreError
-
-    parser = build_ingest_parser()
-    args = parser.parse_args(argv)
-    store_path = args.store
-    if store_path is None:
-        store_path = args.journal_dirs[0] / "store.sqlite"
-    try:
-        with ResultStore(store_path) as store:
-            for journal_dir in args.journal_dirs:
-                report = store.ingest(journal_dir)
-                print(f"[ingest] {journal_dir}: {report.render()}", flush=True)
-    except StoreError as error:
-        print(f"[ingest] FAILED — {error}", file=sys.stderr, flush=True)
-        return 1
-    print(f"[ingest] store: {store_path}", flush=True)
-    return 0
-
-
-def _query_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign query ...``."""
-    from repro.runtime.store import ResultStore, StoreError, format_rows
-
-    parser = build_query_parser()
-    args = parser.parse_args(argv)
-    store_path = args.store
-    if store_path is None and args.journal_dir is not None:
-        store_path = args.journal_dir / "store.sqlite"
-    if store_path is None:
-        parser.error("give --store FILE or --journal-dir DIR")
-    if not store_path.exists():
-        parser.error(f"no store at {store_path} (run 'repro-campaign ingest' first)")
-    if args.sql is not None and args.what:
-        parser.error("--sql replaces the canned query; give one or the other")
-    if args.sql is None and not args.what:
-        parser.error(
-            "give a canned query (campaigns, cells LABEL, slice LABEL, "
-            "attempts [LABEL], timings [LABEL]) or --sql"
-        )
-    try:
-        with ResultStore(store_path) as store:
-            if args.sql is not None:
-                columns, rows = store.sql(args.sql)
-            else:
-                columns, rows = _run_canned_query(parser, store, args)
-            print(format_rows(columns, rows, args.format), flush=True)
-    except StoreError as error:
-        print(f"[query] FAILED — {error}", file=sys.stderr, flush=True)
-        return 1
-    return 0
-
-
-def _run_canned_query(parser, store, args):
-    """Dispatch ``args.what`` to the store's canned query methods."""
-    name, rest = args.what[0], args.what[1:]
-    if name == "campaigns":
-        if rest:
-            parser.error("'campaigns' takes no arguments")
-        return store.query_campaigns()
-    if name in ("cells", "slice"):
-        if len(rest) != 1:
-            parser.error(f"'{name}' needs exactly one LABEL argument")
-        if name == "cells":
-            return store.query_cells(rest[0], fingerprint=args.fingerprint)
-        return store.query_slice(rest[0], coordinate=args.by, fingerprint=args.fingerprint)
-    if name in ("attempts", "timings"):
-        if len(rest) > 1:
-            parser.error(f"'{name}' takes at most one LABEL argument")
-        label = rest[0] if rest else None
-        if name == "attempts":
-            return store.query_attempts(label)
-        return store.query_timings(label)
-    parser.error(
-        f"unknown query {name!r}; use campaigns, cells LABEL, slice LABEL, "
-        "attempts [LABEL], timings [LABEL], or --sql"
-    )
-
-
-_SERVE_EPILOG = """\
-examples:
-  # daemonize a shared roster: 4 local shard slots + a Slurm partition, with
-  # per-tenant concurrency quotas and crash-safe re-adoption of campaigns
-  # that were in flight when the previous daemon died:
-  repro-campaign serve --journal-dir /shared/journals \\
-      --backend local:4 --backend slurm:16 \\
-      --quota alice=2 --quota bob=2 --default-quota 4 --resume
-
-  # print the resolved roster and quota table, bind nothing:
-  repro-campaign serve --journal-dir /shared/journals --backend local:2 --dry-run
-
-Submissions journal into <journal-dir>/<label>/ and the merged payload lands
-there as <artifact>.json/.txt — byte-identical to a one-shot run of the same
-artifact.  The daemon's own submission/state journal is
-<journal-dir>/service.campaigns.jsonl (records documented in docs/RESULTS.md).
-"""
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``serve`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign serve",
-        description="Run the resident campaign service: accept campaign "
-        "submissions over a Unix socket, multiplex them over one shared "
-        "backend roster through a priority queue with per-tenant quotas, "
-        "stream live progress, and survive restarts via the journal store.",
-        epilog=_SERVE_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--journal-dir",
-        type=Path,
-        required=True,
-        help="shared journal store: per-campaign journals, merged payloads, "
-        "and the service's own submission/state journal live here",
-    )
-    parser.add_argument(
-        "--socket",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="Unix socket to listen on (default: <journal-dir>/service.sock)",
-    )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        dest="backends",
-        default=None,
-        metavar="NAME[:SLOTS][,KEY=VALUE...]",
-        help="shared execution backend roster, repeatable (same spellings as "
-        "orchestrate --backend; default: one unbounded local backend)",
-    )
-    parser.add_argument(
-        "--quota",
-        action="append",
-        dest="quotas",
-        default=None,
-        metavar="TENANT=N",
-        help="cap TENANT at N concurrently running shard attempts, repeatable",
-    )
-    parser.add_argument(
-        "--default-quota",
-        type=int,
-        default=None,
-        metavar="N",
-        help="concurrency cap for tenants without an explicit --quota "
-        "(default: unbounded)",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default="fast",
-        help="default workload scale for submissions that do not name one "
-        "(default: fast)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="policy cache directory shared by planning and all shards",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="R",
-        help="per-shard retry budget for every campaign (default: 2)",
-    )
-    parser.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a shard whose journal shows no new cell for this "
-        "many seconds (default: disabled)",
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="journal poll / progress stream interval (default: 0.5)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="re-adopt campaigns that were submitted but unfinished when the "
-        "previous daemon stopped; their orchestrators resume from the shard "
-        "journals, recomputing no completed cell",
-    )
-    parser.add_argument(
-        "--inject-kill-shard",
-        type=int,
-        default=None,
-        metavar="K",
-        help="chaos-testing hook forwarded to every campaign: SIGKILL shard "
-        "K's first attempt once it has journaled a cell",
-    )
-    parser.add_argument(
-        "--ingest",
-        action="store_true",
-        help="after each merge, ingest the campaign's journals into "
-        "<journal-dir>/store.sqlite (the queryable result store)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the resolved roster and quota table, then exit without "
-        "binding the socket or starting anything",
-    )
-    return parser
-
-
-def _add_client_socket_arguments(parser: argparse.ArgumentParser) -> None:
-    """The two ways every client command can name the daemon's socket."""
-    parser.add_argument(
-        "--socket",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="the daemon's Unix socket",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="shorthand for --socket DIR/service.sock",
-    )
-
-
-def build_submit_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``submit`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign submit",
-        description="Submit one campaign to a running campaign service "
-        "(see 'repro-campaign serve').  Returns immediately with the "
-        "campaign id; follow progress with 'repro-campaign tail LABEL'.",
-    )
-    parser.add_argument("experiment", help="artifact identifier to run (e.g. fig6a)")
-    _add_client_socket_arguments(parser)
-    parser.add_argument(
-        "--label",
-        default=None,
-        help="campaign label, also its journal subdirectory name "
-        "(default: the artifact id); a label already in flight is refused",
-    )
-    parser.add_argument("--tenant", default="default", help="tenant the quota applies to")
-    parser.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="dispatch priority (higher dispatches first; default: 0)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2, metavar="N", help="shard count (default: 2)"
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default=None,
-        help="workload scale (default: the daemon's --scale)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="root seed for the campaign")
-    parser.add_argument(
-        "--workers-per-shard",
-        type=int,
-        default=1,
-        metavar="M",
-        help="process-pool size inside each shard (default: 1)",
-    )
-    parser.add_argument(
-        "--batch-cells",
-        type=int,
-        default=1,
-        metavar="B",
-        help="forwarded to each shard: group up to B cells per pool submission",
-    )
-    parser.add_argument(
-        "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="forwarded to each shard (default: auto)",
-    )
-    return parser
-
-
-def build_status_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``status`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign status",
-        description="Show a running campaign service's campaigns (no "
-        "argument), or one campaign's full status (by label or id).",
-    )
-    parser.add_argument(
-        "target", nargs="?", default=None, help="campaign label or id (optional)"
-    )
-    _add_client_socket_arguments(parser)
-    return parser
-
-
-def build_tail_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``tail`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign tail",
-        description="Stream one campaign's live per-shard progress from a "
-        "running campaign service as NDJSON, until it reaches a terminal "
-        "state.  Exit code 0 iff the campaign merged.",
-    )
-    parser.add_argument("target", help="campaign label or id")
-    _add_client_socket_arguments(parser)
-    return parser
-
-
-def build_cancel_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``cancel`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign cancel",
-        description="Cancel an in-flight campaign: the daemon group-kills "
-        "its running shard attempts and journals the cancellation (the shard "
-        "journals keep every completed cell for a later resume).",
-    )
-    parser.add_argument("target", help="campaign label or id")
-    _add_client_socket_arguments(parser)
-    return parser
-
-
-def _resolve_client_socket(parser: argparse.ArgumentParser, args) -> Path:
-    """The daemon socket a client command should talk to."""
-    if args.socket is not None:
-        return args.socket
-    if args.journal_dir is not None:
-        return args.journal_dir / "service.sock"
-    parser.error("give --socket PATH or --journal-dir DIR")
-
-
-def _parse_quotas(parser: argparse.ArgumentParser, texts) -> dict:
-    """Parse repeated ``--quota TENANT=N`` options."""
-    quotas = {}
-    for text in texts or []:
-        tenant, separator, value = str(text).partition("=")
-        if not separator or not tenant.strip() or not value.strip():
-            parser.error(f"--quota must be TENANT=N, got {text!r}")
-        try:
-            quotas[tenant.strip()] = int(value)
-        except ValueError:
-            parser.error(f"--quota {text!r}: N must be an integer")
-    return quotas
-
-
-def _serve_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign serve ...``."""
-    import asyncio
-
-    from repro.runtime.backends import BackendError, build_backends
-    from repro.runtime.service import CampaignService, ServiceError
-    from repro.runtime.service_api import ServiceAPI
-
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.poll_interval <= 0:
-        parser.error("--poll-interval must be > 0")
-    if args.stall_timeout is not None and args.stall_timeout <= 0:
-        parser.error("--stall-timeout must be > 0")
-    if args.default_quota is not None and args.default_quota < 1:
-        parser.error("--default-quota must be >= 1")
-    if args.inject_kill_shard is not None and args.inject_kill_shard < 1:
-        parser.error("--inject-kill-shard must be >= 1")
-    quotas = _parse_quotas(parser, args.quotas)
-    if any(quota < 1 for quota in quotas.values()):
-        parser.error("--quota caps must be >= 1")
-    try:
-        backends = build_backends(args.backends or ["local"])
-    except BackendError as error:
-        parser.error(f"invalid --backend: {error}")
-    socket_path = args.socket if args.socket is not None else args.journal_dir / "service.sock"
-    try:
-        service = CampaignService(
-            args.journal_dir,
-            backends=backends,
-            quotas=quotas,
-            default_quota=args.default_quota,
-            scale=args.scale,
-            cache_dir=args.cache_dir,
-            max_retries=args.max_retries,
-            stall_timeout=args.stall_timeout,
-            poll_interval=args.poll_interval,
-            resume=args.resume,
-            inject_kill_shard=args.inject_kill_shard,
-            ingest_on_completion=args.ingest,
-            on_event=lambda message: print(f"[serve] {message}", flush=True),
-        )
-    except ServiceError as error:
-        parser.error(str(error))
-    if args.dry_run:
-        print(f"campaign service (dry run)\nsocket: {socket_path}", flush=True)
-        print(service.render_dry_run(), flush=True)
-        return 0
-
-    async def _serve() -> int:
-        await service.start()
-        api = ServiceAPI(service, socket_path)
-        await api.start()
-        print(f"[serve] listening on {socket_path}", flush=True)
-        try:
-            await api.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await api.close()
-            await service.close()
-        return 0
-
-    try:
-        return asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("[serve] stopped", flush=True)
-        return 0
-
-
-def _client_main(argv: Sequence[str], parser_builder, handler) -> int:
-    """Shared driver for the thin client commands (connect, call, render)."""
-    from repro.runtime.service_api import ServiceClient, ServiceClientError
-
-    parser = parser_builder()
-    args = parser.parse_args(argv)
-    client = ServiceClient(_resolve_client_socket(parser, args))
-    try:
-        return handler(client, args)
-    except ServiceClientError as error:
-        print(f"[{parser.prog.split()[-1]}] FAILED — {error}", file=sys.stderr, flush=True)
-        return 1
-    except (ConnectionError, OSError, TimeoutError) as error:
-        print(f"[{parser.prog.split()[-1]}] FAILED — {error}", file=sys.stderr, flush=True)
-        return 1
-
-
-def _submit_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign submit ...``."""
-
-    def handler(client, args) -> int:
-        payload = {
-            "experiment_id": args.experiment,
-            "label": args.label or args.experiment,
-            "tenant": args.tenant,
-            "priority": args.priority,
-            "shards": args.shards,
-            "scale": args.scale,
-            "seed": args.seed,
-            "workers_per_shard": args.workers_per_shard,
-            "batch_cells": args.batch_cells,
-            "vectorize": args.vectorize,
-        }
-        status = client.submit(payload)
-        print(
-            f"[submit] {status['id']} {status['label']}: {status['state']} "
-            f"(tenant {status['tenant']}, priority {status['priority']})",
-            flush=True,
-        )
-        return 0
-
-    return _client_main(argv, build_submit_parser, handler)
-
-
-def _status_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign status ...``."""
-    import json as json_module
-
-    def handler(client, args) -> int:
-        if args.target is None:
-            campaigns = client.campaigns()
-            if not campaigns:
-                print("[status] no campaigns", flush=True)
-                return 0
-            for status in campaigns:
-                shards = status.get("shards") or {}
-                cells = sum(shards.values())
-                print(
-                    f"{status['id']}  {status['label']:20s} {status['state']:10s} "
-                    f"tenant={status['tenant']} priority={status['priority']} "
-                    f"cells={cells}",
-                    flush=True,
-                )
-            return 0
-        print(json_module.dumps(client.status(args.target), indent=2, sort_keys=True), flush=True)
-        return 0
-
-    return _client_main(argv, build_status_parser, handler)
-
-
-def _tail_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign tail ...``."""
-    import json as json_module
-
-    def handler(client, args) -> int:
-        final_state = None
-        for event in client.tail(args.target):
-            print(json_module.dumps(event, sort_keys=True), flush=True)
-            if event.get("event") == "state":
-                final_state = event.get("state")
-        return 0 if final_state == "merged" else 1
-
-    return _client_main(argv, build_tail_parser, handler)
-
-
-def _cancel_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign cancel ...``."""
-
-    def handler(client, args) -> int:
-        status = client.cancel(args.target)
-        shards = status.get("shards") or {}
-        print(
-            f"[cancel] {status['id']} {status['label']}: {status['state']} — "
-            f"{sum(shards.values())} journaled cell(s) kept for a future resume",
-            flush=True,
-        )
-        return 0
-
-    return _client_main(argv, build_cancel_parser, handler)
-
-
-def _shard_forwarded_args(args, include_workers: bool = True) -> list:
-    """The CLI arguments every shard subprocess inherits from orchestrate.
-
-    The cluster templates render ``--workers`` themselves (it doubles as the
-    scheduler's cpus-per-task request), so they ask for the rest only.
+    The 'orchestrate' subcommand drives a whole sharded campaign (launch,
+    watch, retry, merge) from one terminal.
     """
-    forwarded = ["--scale", args.scale]
-    if include_workers:
-        forwarded += ["--workers", str(args.workers_per_shard)]
-    if args.batch_cells > 1:
-        forwarded += ["--batch-cells", str(args.batch_cells)]
-    if args.vectorize != "auto":
-        forwarded += ["--vectorize", args.vectorize]
-    if args.seed is not None:
-        forwarded += ["--seed", str(args.seed)]
-    if args.cache_dir is not None:
-        forwarded += ["--cache-dir", str(args.cache_dir)]
-    return forwarded
-
-
-def _orchestrate_main(argv: Sequence[str]) -> int:
-    """Entry point for ``repro-campaign orchestrate ...``."""
-    from repro.runtime.backends import BackendError, build_backends
-    from repro.runtime.orchestrator import (
-        OrchestratorError,
-        ShardOrchestrator,
-        render_k8s_manifest,
-        render_slurm_script,
-    )
-
-    parser = build_orchestrate_parser()
-    args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.workers_per_shard < 1:
-        parser.error("--workers-per-shard must be >= 1")
-    if args.batch_cells < 1:
-        parser.error("--batch-cells must be >= 1")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.poll_interval <= 0:
-        parser.error("--poll-interval must be > 0")
-    if args.stall_timeout is not None and args.stall_timeout <= 0:
-        parser.error("--stall-timeout must be > 0")
-    if args.inject_kill_shard is not None and not 1 <= args.inject_kill_shard <= args.shards:
-        parser.error(
-            f"--inject-kill-shard must name a shard in 1..{args.shards}, "
-            f"got {args.inject_kill_shard}"
-        )
-    if args.dry_run and (args.emit_slurm is not None or args.emit_k8s is not None):
-        parser.error(
-            "--dry-run and --emit-slurm/--emit-k8s are mutually exclusive: "
-            "a dry run writes nothing, template emission writes files"
-        )
-    try:
-        backends = build_backends(args.backends or ["local"])
-    except BackendError as error:
-        parser.error(f"invalid --backend: {error}")
-    journal_dir = args.journal_dir
-    if journal_dir is None and args.output is not None:
-        journal_dir = args.output / "journals"
-    if journal_dir is None:
-        parser.error(
-            "orchestration needs the shared journal store "
-            "(give --journal-dir or --output)"
-        )
-
-    if args.dry_run:
-        # The dry run builds no plan (so trains no baselines) and touches no
-        # disk: it resolves backend specs, previews the scheduler's
-        # assignment, and prints the exact argv each shard would launch.
-        orchestrator = ShardOrchestrator(
-            args.experiment,
-            args.shards,
-            CampaignRunner(journal_dir=journal_dir),
-            backends=backends,
-            shard_args=_shard_forwarded_args(args),
-            max_retries=args.max_retries,
-        )
-        print(orchestrator.render_dry_run(), flush=True)
-        return 0
-
-    if args.emit_slurm is not None or args.emit_k8s is not None:
-        # Template emission renders the commands a real scheduler would run;
-        # it deliberately builds no plan (clusters render at paper scale
-        # without paying for baseline training on the submit host).
-        template_kwargs = dict(
-            journal_dir=journal_dir,
-            workers_per_shard=args.workers_per_shard,
-            shard_args=_shard_forwarded_args(args, include_workers=False),
-        )
-        for path, renderer, kind in (
-            (args.emit_slurm, render_slurm_script, "Slurm array job"),
-            (args.emit_k8s, render_k8s_manifest, "Kubernetes indexed Job"),
-        ):
-            if path is None:
-                continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                renderer(args.experiment, args.shards, **template_kwargs),
-                encoding="utf8",
-            )
-            print(f"[repro-campaign] wrote {kind} template to {path}", flush=True)
-        return 0
-
-    gridworld_factory, drone_factory = _SCALE_PRESETS[args.scale]
-    gridworld_scale = gridworld_factory()
-    drone_scale = drone_factory()
-    if args.seed is not None:
-        gridworld_scale = gridworld_scale.with_seed(args.seed)
-        drone_scale = drone_scale.with_seed(args.seed)
-    runner = CampaignRunner(
-        gridworld_scale=gridworld_scale,
-        drone_scale=drone_scale,
-        cache=PolicyCache(args.cache_dir) if args.cache_dir is not None else None,
-        journal_dir=journal_dir,
-        vectorize=args.vectorize,
-    )
-    orchestrator = ShardOrchestrator(
-        args.experiment,
-        args.shards,
-        runner,
-        backends=backends,
-        shard_args=_shard_forwarded_args(args),
-        max_retries=args.max_retries,
-        stall_timeout=args.stall_timeout,
-        poll_interval=args.poll_interval,
-        inject_kill_shard=args.inject_kill_shard,
-        on_event=lambda message: print(f"[orchestrate] {message}", flush=True),
-    )
-    start = time.perf_counter()
-    try:
-        report = orchestrator.run()
-    except KeyboardInterrupt:
-        raise
-    except OrchestratorError as error:
-        print(f"[orchestrate] FAILED — {error}", file=sys.stderr, flush=True)
-        if error.report is not None:
-            print(error.report.render(), file=sys.stderr, flush=True)
-        return 1
-    except Exception as error:
-        print(f"[orchestrate] FAILED — {error}", file=sys.stderr, flush=True)
-        return 1
-    elapsed = time.perf_counter() - start
-    print(report.render(), flush=True)
-    print(f"[orchestrate] {args.experiment}: done in {elapsed:.1f}s", flush=True)
-    if args.output is not None and report.result is not None:
-        _save(args.output, args.experiment, report.result)
-    return 0
-
-
-def _save(output_dir: Path, name: str, result) -> None:
-    output_dir.mkdir(parents=True, exist_ok=True)
-    text = result.render() if hasattr(result, "render") else str(result)
-    (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf8")
-    if hasattr(result, "as_dict"):
-        save_json(output_dir / f"{name}.json", result.as_dict())
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the ``repro-campaign`` CLI; returns the process exit code."""
-    arguments = list(argv) if argv is not None else sys.argv[1:]
-    # Journal-invalidation warnings (stale fingerprints, shard mismatches)
-    # come through the logging module; make them visible on stderr.
-    logging.basicConfig(
-        level=logging.WARNING, format="[repro-campaign] %(levelname)s: %(message)s"
-    )
-    if arguments[:1] == ["orchestrate"]:
-        return _orchestrate_main(arguments[1:])
-    if arguments[:1] == ["ingest"]:
-        return _ingest_main(arguments[1:])
-    if arguments[:1] == ["query"]:
-        return _query_main(arguments[1:])
-    if arguments[:1] == ["serve"]:
-        return _serve_main(arguments[1:])
-    if arguments[:1] == ["submit"]:
-        return _submit_main(arguments[1:])
-    if arguments[:1] == ["status"]:
-        return _status_main(arguments[1:])
-    if arguments[:1] == ["tail"]:
-        return _tail_main(arguments[1:])
-    if arguments[:1] == ["cancel"]:
-        return _cancel_main(arguments[1:])
-    parser = build_parser()
-    args = parser.parse_args(arguments)
-
     if args.list:
         decomposed = set(decomposed_experiment_ids())
         for experiment_id in plannable_experiment_ids():
@@ -1202,12 +385,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.experiments:
         parser.error("no experiments given (or use --list)")
-    if args.workers < 0:
-        parser.error("--workers must be >= 0 (0 picks a machine-sized default)")
-    if args.replicates < 1:
-        parser.error("--replicates must be >= 1")
-    if args.batch_cells < 1:
-        parser.error("--batch-cells must be >= 1")
     shard = None
     if args.shard is not None:
         if args.merge_only:
@@ -1219,9 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shard = ShardSpec.parse(args.shard)
         except ValueError as error:
             parser.error(f"invalid --shard: {error}")
-    journal_dir = args.journal_dir
-    if journal_dir is None and args.output is not None:
-        journal_dir = args.output / "journals"
+    journal_dir = _journal_dir(args)
     if args.resume and journal_dir is None:
         parser.error("--resume needs a journal (give --journal-dir or --output)")
     if (shard is not None or args.merge_only) and journal_dir is None:
@@ -1238,7 +413,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "so every machine derives the same replicate plans"
         )
 
-    gridworld_factory, drone_factory = _SCALE_PRESETS[args.scale]
     workers = args.workers if args.workers != 0 else default_worker_count()
     cache = PolicyCache(args.cache_dir) if args.cache_dir is not None else None
 
@@ -1258,11 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     exit_code = 0
     for replicate, seed in enumerate(replicate_seeds):
-        gridworld_scale = gridworld_factory()
-        drone_scale = drone_factory()
-        if seed is not None:
-            gridworld_scale = gridworld_scale.with_seed(seed)
-            drone_scale = drone_scale.with_seed(seed)
+        gridworld_scale, drone_scale = preset_scales(args.scale, seed)
         runner = CampaignRunner(
             gridworld_scale=gridworld_scale,
             drone_scale=drone_scale,
@@ -1339,9 +509,572 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runner.results[experiment_id] = result
             print(f"[repro-campaign] {label}: done in {elapsed:.1f}s", flush=True)
             if args.output is not None:
-                _save(args.output, label, result)
+                save_result(args.output, label, result)
         print(runner.report())
     return exit_code
+
+
+# -------------------------------------------------------------- orchestrate
+def _orchestrate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.epilog = _ORCHESTRATE_EPILOG
+    parser.add_argument(
+        "experiment",
+        help="artifact identifier to orchestrate (must decompose into >1 cell, "
+        "e.g. fig6a)",
+    )
+    _add_option(parser, "--shards", required=True)
+    _add_options(
+        parser,
+        "--workers-per-shard",
+        "--batch-cells",
+        "--vectorize",
+        "--max-retries",
+        "--stall-timeout",
+        "--poll-interval",
+        "--scale",
+        "--seed",
+        "--cache-dir",
+        "--output",
+        "--journal-dir",
+        "--inject-kill-shard",
+        "--backend",
+        "--dry-run",
+    )
+
+
+def _orchestrate(parser: argparse.ArgumentParser, args) -> int:
+    """Drive a whole sharded campaign from one terminal.
+
+    Launch each --shard k/n run as a subprocess (or on the --backend roster),
+    tail the shard journals for live progress, retry failed or stalled shards
+    with --resume, and merge the shard journals into the final payload.
+    """
+    from repro.runtime.backends import shard_forwarded_args
+    from repro.runtime.orchestrator import OrchestratorError, ShardOrchestrator
+
+    if args.inject_kill_shard is not None and not 1 <= args.inject_kill_shard <= args.shards:
+        parser.error(
+            f"--inject-kill-shard must name a shard in 1..{args.shards}, "
+            f"got {args.inject_kill_shard}"
+        )
+    backends = _build_backends(parser, args.backends)
+    journal_dir = _journal_dir(args)
+    if journal_dir is None:
+        parser.error(
+            "orchestration needs the shared journal store "
+            "(give --journal-dir or --output)"
+        )
+    gridworld_scale, drone_scale = preset_scales(args.scale, args.seed)
+    runner = CampaignRunner(
+        gridworld_scale=gridworld_scale,
+        drone_scale=drone_scale,
+        cache=PolicyCache(args.cache_dir) if args.cache_dir is not None else None,
+        journal_dir=journal_dir,
+        vectorize=args.vectorize,
+    )
+    orchestrator = ShardOrchestrator(
+        args.experiment,
+        args.shards,
+        runner,
+        backends=backends,
+        shard_args=shard_forwarded_args(
+            scale=args.scale,
+            workers=args.workers_per_shard,
+            batch_cells=args.batch_cells,
+            vectorize=args.vectorize,
+            seed=args.seed,
+            cache_dir=args.cache_dir,
+        ),
+        max_retries=args.max_retries,
+        stall_timeout=args.stall_timeout,
+        poll_interval=args.poll_interval,
+        inject_kill_shard=args.inject_kill_shard,
+        on_event=lambda message: print(f"[orchestrate] {message}", flush=True),
+    )
+    if args.dry_run:
+        # The dry run builds no plan (so trains no baselines) and touches no
+        # disk: it previews the scheduler's assignment and prints the exact
+        # argv each shard would launch.
+        print(orchestrator.render_dry_run(), flush=True)
+        return 0
+    start = time.perf_counter()
+    try:
+        report = orchestrator.run()
+    except KeyboardInterrupt:
+        raise
+    except OrchestratorError as error:
+        print(f"[orchestrate] FAILED — {error}", file=sys.stderr, flush=True)
+        if error.report is not None:
+            print(error.report.render(), file=sys.stderr, flush=True)
+        return 1
+    except Exception as error:
+        print(f"[orchestrate] FAILED — {error}", file=sys.stderr, flush=True)
+        return 1
+    elapsed = time.perf_counter() - start
+    print(report.render(), flush=True)
+    print(f"[orchestrate] {args.experiment}: done in {elapsed:.1f}s", flush=True)
+    if args.output is not None and report.result is not None:
+        save_result(args.output, args.experiment, report.result)
+    return 0
+
+
+# ------------------------------------------------------------ result store
+def _ingest_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.epilog = "Schemas: docs/RESULTS.md."
+    parser.add_argument(
+        "journal_dirs",
+        nargs="+",
+        type=Path,
+        metavar="JOURNAL_DIR",
+        help="journal director(ies) to ingest",
+    )
+    _add_options(parser, "--store")
+
+
+def _ingest(parser: argparse.ArgumentParser, args) -> int:
+    """Compact journal directories into a schema-versioned sqlite store.
+
+    Folds merged journals, shard journals and orchestrator reports in.
+    Incremental and idempotent: unchanged files are skipped, so re-running
+    over the same directory inserts zero rows.
+    """
+    from repro.runtime.store import ResultStore, StoreError
+
+    store_path = args.store
+    if store_path is None:
+        store_path = args.journal_dirs[0] / "store.sqlite"
+    try:
+        with ResultStore(store_path) as store:
+            for journal_dir in args.journal_dirs:
+                report = store.ingest(journal_dir)
+                print(f"[ingest] {journal_dir}: {report.render()}", flush=True)
+    except StoreError as error:
+        print(f"[ingest] FAILED — {error}", file=sys.stderr, flush=True)
+        return 1
+    print(f"[ingest] store: {store_path}", flush=True)
+    return 0
+
+
+def _query_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.epilog = _QUERY_EPILOG
+    parser.add_argument(
+        "what",
+        nargs="*",
+        metavar="QUERY [LABEL]",
+        help="canned query name plus its arguments (see below), or nothing "
+        "with --sql",
+    )
+    _add_options(parser, "--store")
+    _add_option(parser, "--journal-dir", help="shorthand for --store DIR/store.sqlite")
+    parser.add_argument(
+        "--by",
+        default="ber",
+        metavar="COORD",
+        help="cell-key coordinate for 'slice' grouping (default: ber)",
+    )
+    parser.add_argument(
+        "--fingerprint",
+        default=None,
+        metavar="PREFIX",
+        help="pin 'cells'/'slice' to the campaign whose plan fingerprint "
+        "starts with PREFIX (default: the newest campaign for the label)",
+    )
+    parser.add_argument(
+        "--sql",
+        default=None,
+        metavar="SQL",
+        help="raw SQL escape hatch, instead of a canned query",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("table", "json", "ndjson"),
+        default="table",
+        help="output format (default: table)",
+    )
+
+
+def _query(parser: argparse.ArgumentParser, args) -> int:
+    """Query an ingested result store.
+
+    Canned queries over campaigns, cells, slices, attempts and backend
+    timings, or raw SQL with --sql.
+    """
+    from repro.runtime.store import ResultStore, StoreError, format_rows
+
+    store_path = args.store
+    if store_path is None and args.journal_dir is not None:
+        store_path = args.journal_dir / "store.sqlite"
+    if store_path is None:
+        parser.error("give --store FILE or --journal-dir DIR")
+    if not store_path.exists():
+        parser.error(f"no store at {store_path} (run 'repro-campaign ingest' first)")
+    if args.sql is not None and args.what:
+        parser.error("--sql replaces the canned query; give one or the other")
+    if args.sql is None and not args.what:
+        parser.error(
+            "give a canned query (campaigns, cells LABEL, slice LABEL, "
+            "attempts [LABEL], timings [LABEL]) or --sql"
+        )
+    try:
+        with ResultStore(store_path) as store:
+            if args.sql is not None:
+                columns, rows = store.sql(args.sql)
+            else:
+                columns, rows = _run_canned_query(parser, store, args)
+            print(format_rows(columns, rows, args.format), flush=True)
+    except StoreError as error:
+        print(f"[query] FAILED — {error}", file=sys.stderr, flush=True)
+        return 1
+    return 0
+
+
+def _run_canned_query(parser, store, args):
+    """Dispatch ``args.what`` to the store's canned query methods."""
+    name, rest = args.what[0], args.what[1:]
+    if name == "campaigns":
+        if rest:
+            parser.error("'campaigns' takes no arguments")
+        return store.query_campaigns()
+    if name in ("cells", "slice"):
+        if len(rest) != 1:
+            parser.error(f"'{name}' needs exactly one LABEL argument")
+        if name == "cells":
+            return store.query_cells(rest[0], fingerprint=args.fingerprint)
+        return store.query_slice(rest[0], coordinate=args.by, fingerprint=args.fingerprint)
+    if name in ("attempts", "timings"):
+        if len(rest) > 1:
+            parser.error(f"'{name}' takes at most one LABEL argument")
+        label = rest[0] if rest else None
+        if name == "attempts":
+            return store.query_attempts(label)
+        return store.query_timings(label)
+    parser.error(
+        f"unknown query {name!r}; use campaigns, cells LABEL, slice LABEL, "
+        "attempts [LABEL], timings [LABEL], or --sql"
+    )
+
+
+# --------------------------------------------------------- campaign service
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.epilog = _SERVE_EPILOG
+    _add_option(
+        parser,
+        "--journal-dir",
+        required=True,
+        help="shared journal store: per-campaign journals, merged payloads, "
+        "and the service's own submission/state journal live here",
+    )
+    _add_options(parser, "--socket", "--backend")
+    parser.add_argument(
+        "--quota",
+        action="append",
+        dest="quotas",
+        default=None,
+        metavar="TENANT=N",
+        help="cap TENANT at N concurrently running shard attempts, repeatable",
+    )
+    parser.add_argument(
+        "--default-quota",
+        type=int,
+        action=_AtLeast,
+        floor=1,
+        default=None,
+        metavar="N",
+        help="concurrency cap for tenants without an explicit --quota "
+        "(default: unbounded)",
+    )
+    _add_option(
+        parser,
+        "--scale",
+        help="workload scale for submissions that do not name one (default: fast)",
+    )
+    _add_options(parser, "--cache-dir", "--max-retries", "--stall-timeout", "--poll-interval")
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="re-adopt campaigns that were submitted but unfinished when the "
+        "previous daemon stopped; their orchestrators resume from the shard "
+        "journals, recomputing no completed cell",
+    )
+    _add_option(parser, "--inject-kill-shard", action=_AtLeast, floor=1)
+    parser.add_argument(
+        "--ingest",
+        action="store_true",
+        help="after each merge, ingest the campaign's journals into "
+        "<journal-dir>/store.sqlite (the queryable result store)",
+    )
+    _add_options(parser, "--dry-run")
+
+
+def _parse_quotas(parser: argparse.ArgumentParser, texts) -> dict:
+    """Parse repeated ``--quota TENANT=N`` options."""
+    quotas = {}
+    for text in texts or []:
+        tenant, separator, value = str(text).partition("=")
+        if not separator or not tenant.strip() or not value.strip():
+            parser.error(f"--quota must be TENANT=N, got {text!r}")
+        try:
+            quotas[tenant.strip()] = int(value)
+        except ValueError:
+            parser.error(f"--quota {text!r}: N must be an integer")
+    return quotas
+
+
+def _serve(parser: argparse.ArgumentParser, args) -> int:
+    """Run the resident campaign service.
+
+    Accept campaign submissions over a Unix socket, multiplex them over one
+    shared backend roster through a priority queue with per-tenant quotas,
+    stream live progress, and survive restarts via the journal store.
+    """
+    import asyncio
+
+    from repro.runtime.service import CampaignService, ServiceError
+    from repro.runtime.service_api import ServiceAPI
+
+    quotas = _parse_quotas(parser, args.quotas)
+    if any(quota < 1 for quota in quotas.values()):
+        parser.error("--quota caps must be >= 1")
+    backends = _build_backends(parser, args.backends)
+    socket_path = args.socket if args.socket is not None else args.journal_dir / "service.sock"
+    try:
+        service = CampaignService(
+            args.journal_dir,
+            backends=backends,
+            quotas=quotas,
+            default_quota=args.default_quota,
+            scale=args.scale,
+            cache_dir=args.cache_dir,
+            max_retries=args.max_retries,
+            stall_timeout=args.stall_timeout,
+            poll_interval=args.poll_interval,
+            resume=args.resume,
+            inject_kill_shard=args.inject_kill_shard,
+            ingest_on_completion=args.ingest,
+            on_event=lambda message: print(f"[serve] {message}", flush=True),
+        )
+    except ServiceError as error:
+        parser.error(str(error))
+    if args.dry_run:
+        print(f"campaign service (dry run)\nsocket: {socket_path}", flush=True)
+        print(service.render_dry_run(), flush=True)
+        return 0
+
+    async def _serve_forever() -> int:
+        await service.start()
+        api = ServiceAPI(service, socket_path)
+        await api.start()
+        print(f"[serve] listening on {socket_path}", flush=True)
+        try:
+            await api.serve_forever()
+        except asyncio.CancelledError:
+            pass
+        finally:
+            await api.close()
+            await service.close()
+        return 0
+
+    try:
+        return asyncio.run(_serve_forever())
+    except KeyboardInterrupt:
+        print("[serve] stopped", flush=True)
+        return 0
+
+
+def _client_socket_arguments(parser: argparse.ArgumentParser) -> None:
+    """The two ways every client command can name the daemon's socket."""
+    _add_options(parser, "--socket")
+    _add_option(parser, "--journal-dir", help="shorthand for --socket DIR/service.sock")
+
+
+def _target_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("target", help="campaign label or id")
+    _client_socket_arguments(parser)
+
+
+def _client_command(call):
+    """A subcommand handler running ``call(client, args)`` against the daemon."""
+
+    @functools.wraps(call)
+    def handler(parser: argparse.ArgumentParser, args) -> int:
+        from repro.runtime.service_api import ServiceClient, ServiceClientError
+
+        if args.socket is not None:
+            socket_path = args.socket
+        elif args.journal_dir is not None:
+            socket_path = args.journal_dir / "service.sock"
+        else:
+            parser.error("give --socket PATH or --journal-dir DIR")
+        try:
+            return call(ServiceClient(socket_path), args)
+        except (ServiceClientError, OSError) as error:
+            print(f"[{parser.prog.split()[-1]}] FAILED — {error}", file=sys.stderr, flush=True)
+            return 1
+
+    return handler
+
+
+def _submit_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("experiment", help="artifact identifier to run (e.g. fig6a)")
+    _client_socket_arguments(parser)
+    parser.add_argument(
+        "--label",
+        default=None,
+        help="campaign label, also its journal subdirectory name "
+        "(default: the artifact id); a label already in flight is refused",
+    )
+    parser.add_argument("--tenant", default="default", help="tenant the quota applies to")
+    parser.add_argument(
+        "--priority",
+        type=int,
+        default=0,
+        help="dispatch priority (higher dispatches first; default: 0)",
+    )
+    _add_option(
+        parser, "--shards", default=2, help="number of --shard k/N runs (default: 2)"
+    )
+    _add_option(
+        parser, "--scale", default=None, help="workload scale (default: the daemon's --scale)"
+    )
+    _add_options(parser, "--seed", "--workers-per-shard", "--batch-cells", "--vectorize")
+
+
+@_client_command
+def _submit(client, args) -> int:
+    """Submit one campaign to a running campaign service.
+
+    Returns immediately with the campaign id; follow progress with
+    'repro-campaign tail LABEL'.
+    """
+    payload = {
+        "experiment_id": args.experiment,
+        "label": args.label or args.experiment,
+        "tenant": args.tenant,
+        "priority": args.priority,
+        "shards": args.shards,
+        "scale": args.scale,
+        "seed": args.seed,
+        "workers_per_shard": args.workers_per_shard,
+        "batch_cells": args.batch_cells,
+        "vectorize": args.vectorize,
+    }
+    status = client.submit(payload)
+    print(
+        f"[submit] {status['id']} {status['label']}: {status['state']} "
+        f"(tenant {status['tenant']}, priority {status['priority']})",
+        flush=True,
+    )
+    return 0
+
+
+def _status_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "target", nargs="?", default=None, help="campaign label or id (optional)"
+    )
+    _client_socket_arguments(parser)
+
+
+@_client_command
+def _status(client, args) -> int:
+    """Show a running campaign service's campaigns.
+
+    With no argument, one line per campaign; with a label or id, that
+    campaign's full status as JSON.
+    """
+    import json
+
+    if args.target is not None:
+        print(json.dumps(client.status(args.target), indent=2, sort_keys=True), flush=True)
+        return 0
+    campaigns = client.campaigns()
+    if not campaigns:
+        print("[status] no campaigns", flush=True)
+    for status in campaigns:
+        cells = sum((status.get("shards") or {}).values())
+        print(
+            f"{status['id']}  {status['label']:20s} {status['state']:10s} "
+            f"tenant={status['tenant']} priority={status['priority']} "
+            f"cells={cells}",
+            flush=True,
+        )
+    return 0
+
+
+@_client_command
+def _tail(client, args) -> int:
+    """Stream one campaign's live per-shard progress as NDJSON.
+
+    Follows the campaign until it reaches a terminal state; the exit code is
+    0 iff the campaign merged.
+    """
+    import json
+
+    final_state = None
+    for event in client.tail(args.target):
+        print(json.dumps(event, sort_keys=True), flush=True)
+        if event.get("event") == "state":
+            final_state = event.get("state")
+    return 0 if final_state == "merged" else 1
+
+
+@_client_command
+def _cancel(client, args) -> int:
+    """Cancel an in-flight campaign.
+
+    The daemon group-kills its running shard attempts and journals the
+    cancellation; the shard journals keep every completed cell for a later
+    resume.
+    """
+    status = client.cancel(args.target)
+    shards = status.get("shards") or {}
+    print(
+        f"[cancel] {status['id']} {status['label']}: {status['state']} — "
+        f"{sum(shards.values())} journaled cell(s) kept for a future resume",
+        flush=True,
+    )
+    return 0
+
+
+#: Every subcommand: ``name -> (argument builder, handler)``.  The handler's
+#: docstring is the subcommand's ``--help`` description.  Any other first
+#: argument is the bare ``repro-campaign EXP ...`` run form.
+SUBCOMMANDS = {
+    "orchestrate": (_orchestrate_arguments, _orchestrate),
+    "ingest": (_ingest_arguments, _ingest),
+    "query": (_query_arguments, _query),
+    "serve": (_serve_arguments, _serve),
+    "submit": (_submit_arguments, _submit),
+    "status": (_status_arguments, _status),
+    "tail": (_target_arguments, _tail),
+    "cancel": (_target_arguments, _cancel),
+}
+
+
+def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse parser of ``subcommand``, or of the bare run form for ``None``."""
+    add_arguments, handler = SUBCOMMANDS[subcommand] if subcommand else (_run_arguments, _run)
+    parser = argparse.ArgumentParser(
+        prog=f"repro-campaign {subcommand}" if subcommand else "repro-campaign",
+        description=inspect.cleandoc(handler.__doc__),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the ``repro-campaign`` CLI; returns the process exit code."""
+    arguments = list(argv) if argv is not None else sys.argv[1:]
+    # Journal-invalidation warnings (stale fingerprints, shard mismatches)
+    # come through the logging module; make them visible on stderr.
+    logging.basicConfig(
+        level=logging.WARNING, format="[repro-campaign] %(levelname)s: %(message)s"
+    )
+    subcommand = arguments[0] if arguments and arguments[0] in SUBCOMMANDS else None
+    parser = build_parser(subcommand)
+    args = parser.parse_args(arguments[1:] if subcommand else arguments)
+    return args.handler(parser, args)
 
 
 if __name__ == "__main__":

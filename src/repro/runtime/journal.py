@@ -112,30 +112,6 @@ def plan_fingerprint(plan) -> str:
     return hashlib.sha1(payload.encode("utf8")).hexdigest()
 
 
-def count_completed_cells(path) -> int:
-    """One-shot progress probe: completed-cell records currently in ``path``.
-
-    Counts newline-terminated ``"kind": "cell"`` lines without validating
-    them against a plan.  A missing file counts as zero; an unparsable line
-    (the partial trailing write of a mid-kill) ends the count, matching
-    :meth:`CampaignJournal.load`.  For repeated polling of a *growing*
-    journal use :class:`JournalProgress`, which reads only the new bytes.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return 0
-    count = 0
-    for line in raw.split(b"\n")[:-1]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        if isinstance(record, dict) and record.get("kind") == "cell":
-            count += 1
-    return count
-
-
 class JournalProgress:
     """Incremental cell-count prober for a live (growing) journal file.
 

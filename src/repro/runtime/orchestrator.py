@@ -29,13 +29,13 @@ campaign from one process:
   retry reasons, and which backend ran each attempt) is written into the
   journal directory for post-mortems.
 
-For clusters the orchestrator does not manage itself,
-:func:`~repro.runtime.backends.render_slurm_script` and
-:func:`~repro.runtime.backends.render_k8s_manifest` (re-exported here) emit
-ready-to-submit Slurm array-job / Kubernetes indexed-Job templates whose
-array tasks run exactly the same ``--shard k/n --resume`` commands — built by
-the same :func:`~repro.runtime.backends.shard_argv` the orchestrator launches
-— so the scheduler's own requeue machinery resumes from the journals too.
+On Slurm the orchestrator submits the shards itself (``--backend
+slurm:N,array=on`` batches them into array jobs).  For any other scheduler,
+``repro-campaign orchestrate ... --dry-run`` prints the exact per-shard
+``--shard k/n`` commands — built by the same
+:func:`~repro.runtime.backends.shard_argv` the orchestrator launches — to
+wrap in that scheduler's own job format; adding ``--resume`` to a retried
+command continues it from its journal.
 
 The orchestrator deliberately reuses :class:`~repro.runtime.sharding.ShardSpec`
 and ``merge_shards`` — it introduces no second partitioning scheme, only a
@@ -57,8 +57,6 @@ from repro.runtime.backends import (
     ExecutionBackend,
     LocalProcessBackend,
     ShardLaunch,  # noqa: F401  (re-exported for backend implementers)
-    render_k8s_manifest,  # noqa: F401  (re-exported; CLI and tests import from here)
-    render_slurm_script,  # noqa: F401  (re-exported; CLI and tests import from here)
     shard_argv,
 )
 from repro.runtime.journal import JournalProgress
@@ -361,9 +359,9 @@ class ShardOrchestrator:
         The default command is the public CLI itself — ``repro-campaign
         <id> --shard k/n --journal-dir ...``, built by the shared
         :func:`~repro.runtime.backends.shard_argv` — so an orchestrated shard
-        is bit-for-bit the same run a human (or a rendered Slurm/Kubernetes
-        template) would launch.  The program prefix defaults to this
-        process's own interpreter; a backend that executes on a different
+        is bit-for-bit the same run a human (or another scheduler's job, from
+        ``--dry-run``'s output) would launch.  The program prefix defaults to
+        this process's own interpreter; a backend that executes on a different
         machine overrides it via
         :meth:`~repro.runtime.backends.ExecutionBackend.shard_program` (the
         local ``sys.executable`` path would not exist over SSH).

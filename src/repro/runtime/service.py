@@ -48,24 +48,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.core.config import DroneScale, GridWorldScale
+from repro.core.config import SCALE_PRESETS, preset_scales
 from repro.core.pretrained import PolicyCache
-from repro.runtime.backends import ExecutionBackend, LocalProcessBackend
+from repro.runtime.backends import ExecutionBackend, LocalProcessBackend, shard_forwarded_args
 from repro.runtime.journal import JournalProgress, plan_fingerprint
 from repro.runtime.orchestrator import CommandFactory, ShardOrchestrator
 from repro.runtime.runner import CampaignError, CampaignRunner
 from repro.runtime.scheduler import BackendScheduler
 from repro.runtime.service_queue import ServiceDispatcher
 from repro.runtime.sharding import ShardSpec
-from repro.utils.serialization import save_json
-
-#: Scale presets the service resolves submission ``scale`` names against
-#: (the same presets the CLI offers for one-shot runs).
-SCALE_PRESETS = {
-    "tiny": (GridWorldScale.tiny, DroneScale.tiny),
-    "fast": (GridWorldScale.fast, DroneScale.fast),
-    "paper": (GridWorldScale.paper, DroneScale.paper),
-}
+from repro.utils.serialization import save_result
 
 #: Campaign states that will never change again.
 TERMINAL_STATES = frozenset({"merged", "failed", "cancelled"})
@@ -462,7 +454,14 @@ class CampaignService:
                 plan=plan,
                 scheduler=_CampaignScheduler(self.dispatcher, campaign),
                 prepare_backends=False,
-                shard_args=self._shard_args(spec),
+                shard_args=shard_forwarded_args(
+                    scale=spec.scale or self.scale,
+                    workers=spec.workers_per_shard,
+                    batch_cells=spec.batch_cells,
+                    vectorize=spec.vectorize,
+                    seed=spec.seed,
+                    cache_dir=self.cache_dir,
+                ),
                 max_retries=self.max_retries,
                 stall_timeout=self.stall_timeout,
                 poll_interval=self.poll_interval,
@@ -477,7 +476,7 @@ class CampaignService:
             campaign.report = report
             if report.result is not None:
                 await asyncio.to_thread(
-                    _save_result, campaign.dir, spec.experiment_id, report.result
+                    save_result, campaign.dir, spec.experiment_id, report.result
                 )
             if self.ingest_on_completion:
                 await asyncio.to_thread(self._ingest, campaign)
@@ -499,13 +498,7 @@ class CampaignService:
 
     def _runner_for(self, spec: CampaignSpec, campaign_dir: Path) -> CampaignRunner:
         """The per-campaign runner (plan building + shard merging)."""
-        scale = spec.scale or self.scale
-        gridworld_factory, drone_factory = SCALE_PRESETS[scale]
-        gridworld_scale = gridworld_factory()
-        drone_scale = drone_factory()
-        if spec.seed is not None:
-            gridworld_scale = gridworld_scale.with_seed(spec.seed)
-            drone_scale = drone_scale.with_seed(spec.seed)
+        gridworld_scale, drone_scale = preset_scales(spec.scale or self.scale, spec.seed)
         return CampaignRunner(
             gridworld_scale=gridworld_scale,
             drone_scale=drone_scale,
@@ -513,20 +506,6 @@ class CampaignService:
             journal_dir=campaign_dir,
             vectorize=spec.vectorize,
         )
-
-    def _shard_args(self, spec: CampaignSpec) -> List[str]:
-        """The CLI arguments each shard subprocess inherits from the spec."""
-        forwarded = ["--scale", spec.scale or self.scale]
-        forwarded += ["--workers", str(spec.workers_per_shard)]
-        if spec.batch_cells > 1:
-            forwarded += ["--batch-cells", str(spec.batch_cells)]
-        if spec.vectorize != "auto":
-            forwarded += ["--vectorize", spec.vectorize]
-        if spec.seed is not None:
-            forwarded += ["--seed", str(spec.seed)]
-        if self.cache_dir is not None:
-            forwarded += ["--cache-dir", str(self.cache_dir)]
-        return forwarded
 
     def _shard_specs(self, spec: CampaignSpec) -> List[ShardSpec]:
         """The shard coordinates of one submission."""
@@ -737,25 +716,10 @@ def _campaign_number(campaign_id: str) -> Optional[int]:
     return int(match.group(1)) if match else None
 
 
-def _save_result(output_dir: Path, name: str, result) -> None:
-    """Save a merged result as ``<name>.txt``/``<name>.json`` (CLI layout).
-
-    Byte-identical to what ``repro-campaign ... --output`` writes for the
-    same result, which is what lets CI diff a served campaign's payload
-    against a one-shot run with plain ``diff``.
-    """
-    output_dir.mkdir(parents=True, exist_ok=True)
-    text = result.render() if hasattr(result, "render") else str(result)
-    (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf8")
-    if hasattr(result, "as_dict"):
-        save_json(output_dir / f"{name}.json", result.as_dict())
-
-
 __all__ = [
     "Campaign",
     "CampaignService",
     "CampaignSpec",
-    "SCALE_PRESETS",
     "SERVICE_JOURNAL_NAME",
     "ServiceError",
     "TERMINAL_STATES",

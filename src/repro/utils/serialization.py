@@ -80,6 +80,21 @@ def save_json(path: PathLike, payload: object, indent: int = 2) -> Path:
     return path
 
 
+def save_result(output_dir: PathLike, name: str, result) -> None:
+    """Write a campaign result as ``<name>.txt`` and, if it has ``as_dict``, ``<name>.json``.
+
+    The one place results reach disk: one-shot runs, ``orchestrate`` merges
+    and the campaign service all save through it, so their payloads can be
+    compared with a plain ``diff``.
+    """
+    output_dir = Path(output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    text = result.render() if hasattr(result, "render") else str(result)
+    (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf8")
+    if hasattr(result, "as_dict"):
+        save_json(output_dir / f"{name}.json", result.as_dict())
+
+
 def load_json(path: PathLike) -> object:
     """Read JSON from ``path``."""
     with Path(path).open("r", encoding="utf8") as handle:

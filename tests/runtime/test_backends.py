@@ -31,9 +31,6 @@ from repro.runtime.backends import (
     SlurmBackend,
     build_backend,
     build_backends,
-    render_k8s_manifest,
-    render_shell_command,
-    render_slurm_script,
     shard_argv,
 )
 
@@ -62,40 +59,6 @@ class TestShardArgv:
         )
         assert argv[:3] == [sys.executable, "-m", "repro.runtime.cli"]
         assert "--resume" not in argv
-
-    def test_shell_renderer_preserves_scheduler_variables(self):
-        rendered = render_shell_command(
-            ["repro-campaign", "--shard", "${SLURM_ARRAY_TASK_ID}/8", "two words"]
-        )
-        assert '--shard "${SLURM_ARRAY_TASK_ID}/8"' in rendered
-        assert "'two words'" in rendered
-
-
-class TestTemplatesShareTheArgvSource:
-    def test_slurm_template_renders_the_canonical_shard_command(self):
-        script = render_slurm_script(
-            "fig6a", 16, journal_dir="/shared/journals",
-            workers_per_shard=4, shard_args=("--scale", "paper"),
-        )
-        expected = render_shell_command(
-            shard_argv(
-                "fig6a", "${SLURM_ARRAY_TASK_ID}/16", "/shared/journals",
-                shard_args=("--workers", "4", "--scale", "paper"), resume=True,
-            )
-        )
-        assert expected in script
-
-    def test_k8s_template_renders_the_canonical_shard_command(self):
-        manifest = render_k8s_manifest(
-            "fig6a", 8, journal_dir="/shared/journals", workers_per_shard=2
-        )
-        expected = render_shell_command(
-            shard_argv(
-                "fig6a", "$((JOB_COMPLETION_INDEX + 1))/8", "/shared/journals",
-                shard_args=("--workers", "2"), resume=True,
-            )
-        )
-        assert expected in manifest
 
 
 class TestBackendSpecParsing:

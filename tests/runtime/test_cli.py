@@ -6,7 +6,8 @@ These exercise the parser layer only — campaign execution is covered by
 
 import pytest
 
-from repro.runtime.cli import main
+from repro.runtime import cli
+from repro.runtime.cli import SUBCOMMANDS, main
 
 
 def _error_text(capsys) -> str:
@@ -155,27 +156,6 @@ class TestOrchestrateValidation:
         assert exit_code == 1
         assert "unknown experiment" in _error_text(capsys)
 
-    def test_emit_templates_render_without_running(self, capsys, tmp_path):
-        """--emit-slurm/--emit-k8s write ready-to-submit templates and exit 0
-        without building a plan or spawning any shard."""
-        slurm = tmp_path / "fig6a.sbatch"
-        k8s = tmp_path / "fig6a.yaml"
-        exit_code = main(
-            [
-                "orchestrate", "fig6a", "--shards", "4", "--scale", "paper",
-                "--workers-per-shard", "8", "--journal-dir", "/shared/journals",
-                "--emit-slurm", str(slurm), "--emit-k8s", str(k8s),
-            ]
-        )
-        assert exit_code == 0
-        script = slurm.read_text()
-        assert "#SBATCH --array=1-4" in script
-        assert '--shard "${SLURM_ARRAY_TASK_ID}/4"' in script
-        assert "--scale paper" in script
-        manifest = k8s.read_text()
-        assert "completionMode: Indexed" in manifest
-        assert '--shard "$((JOB_COMPLETION_INDEX + 1))/4"' in manifest
-
     def test_dry_run_prints_assignment_without_launching(self, capsys, tmp_path):
         """--dry-run resolves backend specs and prints shard->backend lines
         plus exact commands; nothing runs, no plan is built, no dirs appear."""
@@ -195,19 +175,6 @@ class TestOrchestrateValidation:
         assert "--shard 1/3" in out and "--scale tiny" in out
         assert "nothing launched" in out
         assert not journal_dir.exists()
-
-    def test_dry_run_conflicts_with_template_emission(self, capsys, tmp_path):
-        """Regression: --dry-run used to silently swallow --emit-slurm (exit 0,
-        no file written); the combination is now rejected up front."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["orchestrate", "fig6a", "--shards", "2",
-                 "--journal-dir", str(tmp_path), "--dry-run",
-                 "--emit-slurm", str(tmp_path / "fig6a.sbatch")]
-            )
-        assert excinfo.value.code == 2
-        assert "mutually exclusive" in _error_text(capsys)
-        assert not (tmp_path / "fig6a.sbatch").exists()
 
     def test_dry_run_with_default_backend(self, capsys, tmp_path):
         exit_code = main(
@@ -424,6 +391,58 @@ class TestServeValidation:
         with pytest.raises(SystemExit):
             main(["serve", "--journal-dir", str(tmp_path), "--dry-run"] + extra)
         assert message in _error_text(capsys)
+
+
+class TestSubcommandTable:
+    @pytest.mark.parametrize("subcommand", [None, *SUBCOMMANDS])
+    def test_every_entry_has_help(self, capsys, subcommand):
+        argv = [subcommand, "--help"] if subcommand else ["--help"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        prog = f"repro-campaign {subcommand}" if subcommand else "repro-campaign"
+        assert capsys.readouterr().out.startswith(f"usage: {prog} ")
+
+    def test_main_dispatches_through_the_table(self, monkeypatch):
+        """Registering a table entry is all it takes to add a subcommand, and
+        the bare run form's help lists exactly the table's names."""
+        calls = []
+
+        def handler(parser, args):
+            """Record the word."""
+            calls.append(args.word)
+            return 7
+
+        monkeypatch.setitem(
+            SUBCOMMANDS, "probe", (lambda parser: parser.add_argument("word"), handler)
+        )
+        assert main(["probe", "hello"]) == 7
+        assert calls == ["hello"]
+        help_text = cli.build_parser().format_help()
+        assert ", ".join(SUBCOMMANDS) in " ".join(help_text.split())
+
+
+class TestSubmitValidation:
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--shards", "0", "--shards must be >= 1"),
+            ("--workers-per-shard", "0", "--workers-per-shard must be >= 1"),
+            ("--batch-cells", "0", "--batch-cells must be >= 1"),
+        ],
+    )
+    def test_submit_rejects_bad_knobs_before_connecting(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        """Regression: these used to reach the daemon, which refused them, and
+        the client exited 1 as a runtime failure; they are usage errors (exit
+        2) raised before the socket is opened, as for orchestrate."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "fig6a", "--socket", str(tmp_path / "nope.sock"), flag, value])
+        assert excinfo.value.code == 2
+        error = _error_text(capsys)
+        assert message in error
+        assert "FAILED" not in error
 
 
 class TestClientSocketResolution:

@@ -25,12 +25,7 @@ import repro.runtime.orchestrator as orchestrator_module
 from repro.runtime.backends import LocalProcessBackend, SSHBackend, ShardLaunch, SlurmBackend
 from repro.runtime.cells import CampaignPlan, CellTask
 from repro.runtime.cli import main
-from repro.runtime.orchestrator import (
-    OrchestratorError,
-    ShardOrchestrator,
-    render_k8s_manifest,
-    render_slurm_script,
-)
+from repro.runtime.orchestrator import OrchestratorError, ShardOrchestrator
 from repro.runtime.runner import CampaignRunner
 from repro.runtime.scheduler import BackendScheduler
 
@@ -499,32 +494,6 @@ class TestInjectedScheduler:
         assert sorted(constructed) == sorted(
             spec.journal_name("orch") for spec in orchestrator.shard_specs()
         )
-
-
-class TestClusterTemplates:
-    def test_slurm_template_renders_shard_commands(self):
-        script = render_slurm_script(
-            "fig6a", 16, journal_dir="/shared/journals", workers_per_shard=4,
-            shard_args=("--scale", "paper"),
-        )
-        assert "#SBATCH --array=1-16" in script
-        assert "#SBATCH --cpus-per-task=4" in script
-        assert "#SBATCH --requeue" in script
-        assert '--shard "${SLURM_ARRAY_TASK_ID}/16"' in script
-        assert "--scale paper" in script
-        assert "--resume" in script
-        assert "--merge-only" in script  # the post-array merge hint
-
-    def test_k8s_template_renders_indexed_job(self):
-        manifest = render_k8s_manifest(
-            "fig6a", 8, journal_dir="/shared/journals", workers_per_shard=2
-        )
-        assert "completionMode: Indexed" in manifest
-        assert "completions: 8" in manifest
-        assert "parallelism: 8" in manifest
-        assert '--shard "$((JOB_COMPLETION_INDEX + 1))/8"' in manifest
-        assert "--resume" in manifest
-        assert "persistentVolumeClaim" in manifest
 
 
 class TestOrchestrateCLIEndToEnd:

@@ -23,6 +23,7 @@ passthrough into backends (including the fake-slurm shim).
 import asyncio
 import json
 import os
+import shlex
 import socket
 import sys
 import textwrap
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.runtime.service as service_module
 from repro.runtime.backends import build_backends
 from repro.runtime.cells import CampaignPlan, CellTask
 from repro.runtime.cli import main
@@ -310,6 +312,61 @@ class TestServedCampaignLifecycle:
                 await service.submit(CampaignSpec("orch"))
 
         asyncio.run(scenario())
+
+
+class TestFrontDoorParity:
+    def test_service_launches_the_argv_orchestrate_dry_run_prints(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The same scale, seed, pool size, batch size, vectorize mode and
+        cache dir give the same shard argv through ``orchestrate`` as through
+        the service, so both produce the payload of a one-shot run."""
+        launched = []
+
+        class RecordingOrchestrator(ShardOrchestrator):
+            async def run_async(self):
+                assignments = self.scheduler.plan_assignments(self.shard_count)
+                for spec, backend in zip(self.shard_specs(), assignments):
+                    launched.append(self.shard_command(spec, 1, False, backend))
+                raise RuntimeError("recorded; nothing launched")
+
+        monkeypatch.setattr(service_module, "ShardOrchestrator", RecordingOrchestrator)
+        journal_dir = tmp_path / "journals"
+        cache_dir = tmp_path / "cache"
+        service = CampaignService(
+            journal_dir, scale="tiny", cache_dir=cache_dir, plan_factory=lambda spec: _plan()
+        )
+
+        async def scenario():
+            await service.start()
+            try:
+                campaign = await service.submit(
+                    CampaignSpec(
+                        "fig6a", label="sweep", shards=2, seed=7, workers_per_shard=2,
+                        batch_cells=3, vectorize="off",
+                    )
+                )
+                await _wait(campaign)
+                return campaign
+            finally:
+                await service.close()
+
+        campaign = asyncio.run(scenario())
+        assert campaign.state == "failed" and "recorded" in campaign.error
+        capsys.readouterr()
+        assert main(
+            ["orchestrate", "fig6a", "--shards", "2", "--scale", "tiny", "--seed", "7",
+             "--workers-per-shard", "2", "--batch-cells", "3", "--vectorize", "off",
+             "--cache-dir", str(cache_dir), "--journal-dir", str(journal_dir / "sweep"),
+             "--dry-run"]
+        ) == 0
+        printed = [
+            shlex.split(line.split(": ", 1)[1])
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("shard ")
+        ]
+        assert len(printed) == 2
+        assert printed == launched
 
 
 class TestSpecValidation:
