@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures at a
-CPU-friendly scale (see DESIGN.md §2 for the substitutions and EXPERIMENTS.md
-for the paper-vs-measured comparison).  Rendered results are written to
+CPU-friendly scale (docs/PERFORMANCE.md, "Reading the benchmarks", explains
+what each one measures).  Rendered results are written to
 ``benchmarks/results/`` so the artifacts survive pytest's output capture.
 Paper-scale runs are available by swapping the scales below for
 ``GridWorldScale.paper()`` / ``DroneScale.paper()``.

@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md §5.
+"""Ablations of the mitigation design choices.
 
 These are not paper figures; they probe the sensitivity of the mitigation
 schemes to their hyper-parameters (anomaly-detection margin, checkpoint
@@ -20,14 +20,14 @@ def test_ablation_anomaly_margin(benchmark):
     def run():
         series = {}
         for margin in (0.05, 0.10, 0.30):
-            result = experiments.inference_mitigation_sweep(
+            result = experiments.inference_mitigation_plan(
                 "gridworld",
                 scale=BENCH_GRIDWORLD_SCALE,
                 ber_values=(0.01,),
                 margin=margin,
                 cache=BENCH_CACHE,
                 repeats=2,
-            )
+            ).run_serial()
             series[f"margin={margin}"] = [result.series["mitigation"][0]]
         return SweepResult(
             title="Ablation: anomaly-detection margin",
@@ -48,7 +48,7 @@ def test_ablation_checkpoint_interval(benchmark):
     def run():
         series = {}
         for interval in (1, 5):
-            heatmap = experiments.training_mitigation_heatmap(
+            heatmap = experiments.training_mitigation_plan(
                 "gridworld",
                 "server",
                 scale=BENCH_GRIDWORLD_SCALE,
@@ -57,7 +57,7 @@ def test_ablation_checkpoint_interval(benchmark):
                 consecutive_episodes=4,
                 checkpoint_interval=interval,
                 cache=BENCH_CACHE,
-            )
+            ).run_serial()
             series[f"every {interval} rounds"] = [float(heatmap.values[0, 0])]
         return SweepResult(
             title="Ablation: server checkpoint cadence",

@@ -14,13 +14,13 @@ from repro.core import experiments
 
 
 def _run(location: str):
-    return experiments.drone_training_heatmap(
+    return experiments.drone_training_plan(
         location,
         scale=BENCH_DRONE_SCALE,
         ber_values=DRONE_BERS,
         episode_fractions=DRONE_EPISODE_FRACTIONS,
         cache=BENCH_CACHE,
-    )
+    ).run_serial()
 
 
 @pytest.mark.parametrize("location,figure", [("agent", "fig5a"), ("server", "fig5b"),

@@ -12,7 +12,7 @@ from repro.core import experiments
 
 def test_fig7a_gridworld_checkpointing(benchmark):
     result = benchmark.pedantic(
-        lambda: experiments.training_mitigation_heatmap(
+        lambda: experiments.training_mitigation_plan(
             "gridworld",
             "server",
             scale=BENCH_GRIDWORLD_SCALE,
@@ -21,7 +21,7 @@ def test_fig7a_gridworld_checkpointing(benchmark):
             consecutive_episodes=4,
             checkpoint_interval=3,
             cache=BENCH_CACHE,
-        ),
+        ).run_serial(),
         rounds=1,
         iterations=1,
     )
@@ -36,7 +36,7 @@ def test_fig7a_gridworld_checkpointing(benchmark):
 
 def test_fig7b_drone_checkpointing(benchmark):
     result = benchmark.pedantic(
-        lambda: experiments.training_mitigation_heatmap(
+        lambda: experiments.training_mitigation_plan(
             "drone",
             "server",
             scale=BENCH_DRONE_SCALE,
@@ -45,7 +45,7 @@ def test_fig7b_drone_checkpointing(benchmark):
             consecutive_episodes=1,
             checkpoint_interval=1,
             cache=BENCH_CACHE,
-        ),
+        ).run_serial(),
         rounds=1,
         iterations=1,
     )

@@ -7,13 +7,13 @@ from repro.core import experiments
 
 def test_fig8a_gridworld_anomaly_detection(benchmark):
     result = benchmark.pedantic(
-        lambda: experiments.inference_mitigation_sweep(
+        lambda: experiments.inference_mitigation_plan(
             "gridworld",
             scale=BENCH_GRIDWORLD_SCALE,
             ber_values=(0.0, 0.005, 0.01, 0.02),
             cache=BENCH_CACHE,
             repeats=3,
-        ),
+        ).run_serial(),
         rounds=1,
         iterations=1,
     )
@@ -30,13 +30,13 @@ def test_fig8a_gridworld_anomaly_detection(benchmark):
 
 def test_fig8b_drone_anomaly_detection(benchmark):
     result = benchmark.pedantic(
-        lambda: experiments.inference_mitigation_sweep(
+        lambda: experiments.inference_mitigation_plan(
             "drone",
             scale=BENCH_DRONE_SCALE,
             ber_values=(0.0, 1e-3, 1e-2),
             cache=BENCH_CACHE,
             repeats=2,
-        ),
+        ).run_serial(),
         rounds=1,
         iterations=1,
     )

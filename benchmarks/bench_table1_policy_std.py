@@ -6,7 +6,9 @@ from repro.core import experiments
 
 def test_table1_policy_std(benchmark):
     result = benchmark.pedantic(
-        lambda: experiments.policy_std_table(scale=BENCH_GRIDWORLD_SCALE, agent_counts=(1, 4, 8)),
+        lambda: experiments.policy_std_plan(
+            scale=BENCH_GRIDWORLD_SCALE, agent_counts=(1, 4, 8)
+        ).run_serial(),
         rounds=1,
         iterations=1,
     )

@@ -1,8 +1,8 @@
 """Benchmark harness options.
 
-``--workers N`` runs the campaign-decomposable benchmarks through the
-parallel :class:`repro.runtime.CampaignRunner` instead of the serial
-experiment functions.  ``N=0`` picks a machine-sized default; the merged
+``--workers N`` runs the campaign-decomposable benchmarks' plans on an
+``N``-process :class:`repro.runtime.CampaignRunner` pool instead of
+in-process with ``CampaignPlan.run_serial()``.  ``N=0`` picks a machine-sized default; the merged
 results are byte-identical either way, only the wall clock changes.
 ``--vectorize auto|on|off`` picks the lockstep cell-group evaluation mode,
 under the same byte-identity contract.  The ``FRLFI_BENCH_WORKERS`` /

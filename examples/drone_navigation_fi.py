@@ -53,9 +53,9 @@ def main() -> None:
           f"{system.average_flight_distance(attempts=1):.0f} m")
 
     print("\nRunning the fixed-point data-type study (paper §IV-B-3)...")
-    datatypes = experiments.datatype_study(
+    datatypes = experiments.datatype_study_plan(
         scale=scale, ber_values=(0.0, 1e-3, 1e-2), cache=cache, repeats=1
-    )
+    ).run_serial()
     print(datatypes.render())
 
 

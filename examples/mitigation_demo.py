@@ -42,9 +42,9 @@ def training_mitigation(scale: GridWorldScale) -> None:
 
 def inference_mitigation(scale: GridWorldScale, cache: PolicyCache) -> None:
     print("\n== Inference-time protection: range-based anomaly detection ==")
-    result = experiments.inference_mitigation_sweep(
+    result = experiments.inference_mitigation_plan(
         "gridworld", scale=scale, ber_values=(0.0, 0.01, 0.02), cache=cache, repeats=3
-    )
+    ).run_serial()
     print(result.render())
     print(f"  max improvement factor: {result.metadata['max_improvement_factor']:.2f}x "
           "(the paper reports up to 3.3x)")

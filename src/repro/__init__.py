@@ -6,15 +6,16 @@ provides the full stack the paper's evaluation depends on -- a numpy neural
 network substrate, quantization codecs, a bit-level fault-injection engine,
 GridWorld and drone navigation environments, Q-learning / REINFORCE agents, a
 federated learning layer, the proposed mitigation schemes and an analytical
-drone performance model -- plus one experiment function per paper figure and
-table.
+drone performance model -- plus one campaign-plan builder per paper figure and
+table, run by the campaign runtime.
 
 Quickstart::
 
-    from repro.core import FaultCharacterizationFramework, GridWorldScale
+    from repro.core import GridWorldScale
+    from repro.runtime import CampaignRunner
 
-    framework = FaultCharacterizationFramework(gridworld_scale=GridWorldScale.tiny())
-    print(framework.run("fig9").render())
+    runner = CampaignRunner(gridworld_scale=GridWorldScale.tiny())
+    print(runner.run("fig9").render())
 """
 
 __version__ = "1.0.0"

@@ -3,8 +3,8 @@
 The paper's claims are about *shapes*: higher BER hurts more, later faults
 hurt more, server faults hurt more than agent faults, multi-agent beats
 single-agent, mitigation recovers the baseline.  These helpers turn those
-claims into boolean checks over the experiment results so benchmarks and
-EXPERIMENTS.md can state which observations the reproduction confirms.
+claims into boolean checks over the experiment results so the benchmarks
+can state which observations the reproduction confirms.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""FRL-FI core: the end-to-end reliability-analysis framework.
+"""FRL-FI core: the paper's experiments over the substrates.
 
 This package ties the substrates together into the paper's experiments:
 experiment scales (fast CI-sized and paper-sized), the fault-injection
 training callback, workload builders for GridWorld and DroneNav FRL systems,
-a disk cache of pre-trained policies, and one experiment function per paper
-figure/table (see DESIGN.md §4 for the experiment index).
+a disk cache of pre-trained policies, and one campaign-plan builder per paper
+figure/table (:mod:`repro.core.experiments`).  Run an artifact by its
+identifier with :class:`repro.runtime.CampaignRunner`, e.g.
+``CampaignRunner(gridworld_scale=GridWorldScale.tiny()).run("fig3a")``;
+:func:`repro.runtime.plans.build_plan` maps each identifier to its plan.
 """
 
 from repro.core.config import DroneScale, GridWorldScale
@@ -17,7 +20,6 @@ from repro.core.workloads import (
     build_gridworld_single_system,
 )
 from repro.core.pretrained import PolicyCache, default_cache
-from repro.core.framework import FaultCharacterizationFramework
 
 from repro.core import experiments
 
@@ -34,6 +36,5 @@ __all__ = [
     "build_drone_single_system",
     "PolicyCache",
     "default_cache",
-    "FaultCharacterizationFramework",
     "experiments",
 ]

@@ -1,6 +1,6 @@
 """Experiment scales.
 
-Every experiment function takes a *scale* object describing the workload size
+Every plan builder takes a *scale* object describing the workload size
 (agents, episodes, evaluation attempts, repetition counts...).  Three presets
 are provided:
 

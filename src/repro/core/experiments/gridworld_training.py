@@ -67,7 +67,13 @@ def gridworld_training_plan(
     ber_values: Sequence[float] = DEFAULT_BERS,
     episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
 ) -> CampaignPlan:
-    """Decompose a Fig. 3 heatmap into independent campaign cells."""
+    """Success rate over (BER × fault-injection episode) during FRL training.
+
+    ``location`` selects the paper's three panels: ``"agent"`` (Fig. 3a),
+    ``"server"`` (Fig. 3b) and ``"single"`` — the single-agent system with
+    the fault applied directly to its policy (Fig. 3c).  One cell per
+    (repeat, BER, injection episode).
+    """
     scale = scale or GridWorldScale.fast()
     if location not in ("agent", "server", "single"):
         raise ValueError(f"location must be 'agent', 'server' or 'single', got {location!r}")
@@ -115,23 +121,6 @@ def gridworld_training_plan(
         )
 
     return CampaignPlan(experiment_id=experiment_id, cells=cells, merge=merge)
-
-
-def gridworld_training_heatmap(
-    location: str = "server",
-    scale: Optional[GridWorldScale] = None,
-    ber_values: Sequence[float] = DEFAULT_BERS,
-    episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
-) -> HeatmapResult:
-    """Success rate over (BER × fault-injection episode) during FRL training.
-
-    ``location`` selects the paper's three panels: ``"agent"`` (Fig. 3a),
-    ``"server"`` (Fig. 3b) and ``"single"`` — the single-agent system with
-    the fault applied directly to its policy (Fig. 3c).  Internally the sweep
-    is the serial execution of :func:`gridworld_training_plan`, so its output
-    is bit-identical to the parallel campaign runner's.
-    """
-    return gridworld_training_plan(location, scale, ber_values, episode_fractions).run_serial()
 
 
 def convergence_after_fault(
@@ -206,7 +195,10 @@ def policy_std_plan(
     scale: Optional[GridWorldScale] = None,
     agent_counts: Sequence[int] = (1, 4, 8, 12),
 ) -> CampaignPlan:
-    """Decompose Table I into one cell per system size."""
+    """Standard deviation of the consensus policy (paper Table I).
+
+    One cell per system size.
+    """
     scale = scale or GridWorldScale.fast()
     agent_counts = tuple(agent_counts)
     if any(count <= 0 for count in agent_counts):
@@ -230,14 +222,6 @@ def policy_std_plan(
         )
 
     return CampaignPlan(experiment_id="table1", cells=cells, merge=merge)
-
-
-def policy_std_table(
-    scale: Optional[GridWorldScale] = None,
-    agent_counts: Sequence[int] = (1, 4, 8, 12),
-) -> TableResult:
-    """Standard deviation of the consensus policy (paper Table I)."""
-    return policy_std_plan(scale, agent_counts).run_serial()
 
 
 def weight_bits_cell(consensus: dict, names: Optional[list], datatype: str) -> list:

@@ -20,7 +20,7 @@ synthetic equivalent that exercises the same code paths:
 
 The substitution preserves the sequential decision process, the CNN policy
 topology, the reward shaping and the collision-terminated metric the paper's
-fault analysis depends on (see DESIGN.md §2).
+fault analysis depends on.
 """
 
 from __future__ import annotations

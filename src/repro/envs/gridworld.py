@@ -157,7 +157,7 @@ class GridWorldEnv(Environment):
       with the sign of the row/column offset to the goal (2 extra elements in
       {-1, 0, 1}, |S| = 3^6).  This keeps the policy a small quantized MLP —
       the property the fault analysis depends on — while making the
-      navigation task solvable by a memoryless policy (see DESIGN.md §2).
+      navigation task solvable by a memoryless policy.
     """
 
     action_count = len(ACTIONS)

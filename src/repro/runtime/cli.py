@@ -25,6 +25,7 @@ import argparse
 import functools
 import inspect
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -1074,7 +1075,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     subcommand = arguments[0] if arguments and arguments[0] in SUBCOMMANDS else None
     parser = build_parser(subcommand)
     args = parser.parse_args(arguments[1:] if subcommand else arguments)
-    return args.handler(parser, args)
+    try:
+        exit_code = args.handler(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro-campaign query ... | head``).
+        # Point stdout at devnull so the interpreter's exit-time flush cannot
+        # raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -1,24 +1,24 @@
 """Campaign plan builders for every registered paper artifact.
 
 :func:`build_plan` maps an experiment identifier (``fig3a`` ... ``fig9``,
-``table1``) to a :class:`~repro.runtime.cells.CampaignPlan`.  Every artifact
-with independent units of work decomposes into many cells (the heatmaps, the
+``table1``) to a :class:`~repro.runtime.cells.CampaignPlan`, and
+:class:`~repro.runtime.runner.CampaignRunner` executes it; together they are
+the one in-process way to run a paper artifact.  Every artifact with
+independent units of work decomposes into many cells (the heatmaps, the
 inference sweeps, the swarm-size/interval/data-type studies, the per-parameter
 Fig. 3d bit breakdown, Table I); only the inherently sequential Fig. 3e
-convergence loop and the static Fig. 9 table fall back to a single-cell plan
-that runs the whole experiment function — still off the main process when a
-pool is available, just not spread across workers.
+convergence loop and the static Fig. 9 table are single-cell plans that call
+their experiment function whole — still off the main process when a pool is
+available, just not spread across workers.
 
-This module is the single source of truth for decomposed-artifact parameters:
-:class:`repro.core.framework.FaultCharacterizationFramework` routes those
-identifiers through :func:`build_plan` too, so ``framework.run(experiment_id)``
-and a campaign runner produce identical results by construction.
+This module is the single source of truth for each artifact's canonical
+parameters; callers that need other parameters call a ``*_plan`` builder
+directly and run the plan with :meth:`CampaignPlan.run_serial` or a runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from repro.core.config import DroneScale, GridWorldScale
@@ -30,6 +30,7 @@ from repro.core.experiments.drone_training import (
 )
 from repro.core.experiments.gridworld_inference import gridworld_inference_plan
 from repro.core.experiments.gridworld_training import (
+    convergence_after_fault,
     gridworld_training_plan,
     policy_std_plan,
     weight_distribution_plan,
@@ -38,6 +39,7 @@ from repro.core.experiments.mitigation_experiments import (
     inference_mitigation_plan,
     training_mitigation_plan,
 )
+from repro.core.experiments.overhead import overhead_comparison
 from repro.core.pretrained import PolicyCache, default_cache
 from repro.runtime.cells import CampaignPlan, single_cell_plan
 
@@ -63,28 +65,6 @@ class CampaignContext:
             drone_scale=drone_scale or DroneScale.fast(),
             cache=cache or default_cache(),
         )
-
-
-def run_whole_experiment(
-    experiment_id: str,
-    gridworld_scale: GridWorldScale,
-    drone_scale: DroneScale,
-    cache_dir: str,
-):
-    """Run one registered experiment end to end (the fallback cell body).
-
-    Reconstructs a framework inside the worker process; the policy cache is
-    shared through ``cache_dir``, so pretrained baselines are reused across
-    processes rather than retrained.
-    """
-    from repro.core.framework import FaultCharacterizationFramework
-
-    framework = FaultCharacterizationFramework(
-        gridworld_scale=gridworld_scale,
-        drone_scale=drone_scale,
-        cache=PolicyCache(Path(cache_dir)),
-    )
-    return framework.run(experiment_id)
 
 
 _DECOMPOSED_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
@@ -122,7 +102,14 @@ _DECOMPOSED_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
 # fig3e is inherently sequential (each extra-training round of the
 # convergence loop depends on the previous evaluation), and fig9 is a cheap
 # static comparison table.
-_FALLBACK_IDS = ("fig3e", "fig9")
+_SINGLE_CELL_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
+    "fig3e": lambda ctx: single_cell_plan(
+        "fig3e", convergence_after_fault, {"scale": ctx.gridworld_scale}
+    ),
+    "fig9": lambda ctx: single_cell_plan("fig9", overhead_comparison, {}),
+}
+
+_BUILDERS = {**_DECOMPOSED_BUILDERS, **_SINGLE_CELL_BUILDERS}
 
 
 def decomposed_experiment_ids() -> list:
@@ -132,25 +119,14 @@ def decomposed_experiment_ids() -> list:
 
 def plannable_experiment_ids() -> list:
     """Every identifier :func:`build_plan` accepts."""
-    return sorted(set(_DECOMPOSED_BUILDERS) | set(_FALLBACK_IDS))
+    return sorted(_BUILDERS)
 
 
 def build_plan(experiment_id: str, context: CampaignContext) -> CampaignPlan:
     """Build the campaign plan for ``experiment_id``."""
-    builder = _DECOMPOSED_BUILDERS.get(experiment_id)
-    if builder is not None:
-        return builder(context)
-    if experiment_id in _FALLBACK_IDS:
-        return single_cell_plan(
-            experiment_id,
-            run_whole_experiment,
-            {
-                "experiment_id": experiment_id,
-                "gridworld_scale": context.gridworld_scale,
-                "drone_scale": context.drone_scale,
-                "cache_dir": str(context.cache.cache_dir),
-            },
+    builder = _BUILDERS.get(experiment_id)
+    if builder is None:
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; available: {plannable_experiment_ids()}"
         )
-    raise KeyError(
-        f"unknown experiment {experiment_id!r}; available: {plannable_experiment_ids()}"
-    )
+    return builder(context)

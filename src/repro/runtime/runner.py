@@ -3,8 +3,8 @@
 :class:`CampaignRunner` executes campaign plans on a ``concurrent.futures``
 process pool.  Cells are submitted in plan order and their outputs merged in
 plan order, so a pool of any size produces byte-identical result payloads to
-the serial fallback (``workers=1``), which in turn is the exact code path the
-experiment functions themselves run.
+the serial fallback (``workers=1``), which in turn is the exact code path of
+:meth:`CampaignPlan.run_serial`.
 
 Three scaling features layer on top of the basic fan-out:
 
@@ -162,7 +162,7 @@ class CampaignRunner:
     """Decompose registered artifacts into cells and run them on a pool.
 
     ``workers=1`` (the default) executes every plan serially in-process and is
-    bit-identical to calling the experiment functions directly;
+    bit-identical to :meth:`CampaignPlan.run_serial`;
     ``workers=N`` fans the cells out over ``N`` processes and merges the
     outputs in deterministic plan order, so the result payloads are identical
     to the serial run's.

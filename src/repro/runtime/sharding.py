@@ -143,13 +143,13 @@ def discover_shard_journals(journal_dir, label: str) -> List[Tuple[ShardSpec, Pa
     found: Dict[int, Tuple[ShardSpec, Path]] = {}
     counts = set()
     for path in sorted(journal_dir.glob(f"{label}.shard-*-of-*.jsonl")):
-        match = _SHARD_FILE_PATTERN.search(path.name)
-        if match is None:
-            continue
-        try:
-            spec = ShardSpec(index=int(match.group("index")), count=int(match.group("count")))
-        except ValueError as error:
-            raise ShardMergeError(f"shard journal {path} has an invalid name: {error}")
+        parsed = parse_shard_journal_name(path.name)
+        if parsed is None:
+            raise ShardMergeError(
+                f"shard journal {path} has an invalid name: expected "
+                f"{label}.shard-K-of-N.jsonl with 1 <= K <= N"
+            )
+        spec = parsed[1]
         counts.add(spec.count)
         found[spec.index] = (spec, path)
     if not found:

@@ -1,4 +1,4 @@
-"""Tests for the per-figure experiment functions (tiny scales)."""
+"""Tests for the per-figure plan builders and experiment functions (tiny scales)."""
 
 import pytest
 
@@ -18,26 +18,26 @@ def drone_scale():
 
 class TestGridworldTraining:
     def test_training_heatmap_shape_and_baseline(self, gw_scale):
-        result = experiments.gridworld_training_heatmap(
+        result = experiments.gridworld_training_plan(
             "server", scale=gw_scale, ber_values=(0.0, 0.02), episode_fractions=(0.8,)
-        )
+        ).run_serial()
         assert result.values.shape == (2, 1)
         assert 0.0 <= result.values.min() and result.values.max() <= 100.0
         assert result.metadata["location"] == "server"
 
     def test_training_heatmap_invalid_location(self, gw_scale):
         with pytest.raises(ValueError):
-            experiments.gridworld_training_heatmap("antenna", scale=gw_scale)
+            experiments.gridworld_training_plan("antenna", scale=gw_scale)
 
     def test_policy_std_table(self, gw_scale):
-        result = experiments.policy_std_table(scale=gw_scale, agent_counts=(1, 2))
+        result = experiments.policy_std_plan(scale=gw_scale, agent_counts=(1, 2)).run_serial()
         assert len(result.rows) == 2
         stds = result.column("policy std")
         assert all(0.0 <= value <= 0.5 for value in stds)
 
     def test_policy_std_rejects_bad_count(self, gw_scale):
         with pytest.raises(ValueError):
-            experiments.policy_std_table(scale=gw_scale, agent_counts=(0,))
+            experiments.policy_std_plan(scale=gw_scale, agent_counts=(0,))
 
     def test_weight_distribution(self, gw_scale, tiny_gridworld_policies):
         result = experiments.weight_distribution(
@@ -58,19 +58,19 @@ class TestGridworldTraining:
 
 class TestGridworldInference:
     def test_inference_sweep_series(self, gw_scale, policy_cache):
-        result = experiments.gridworld_inference_sweep(
+        result = experiments.gridworld_inference_plan(
             scale=gw_scale, ber_values=(0.0, 0.02), cache=policy_cache, repeats=1,
             variants=("Multi-Trans-M", "Multi-Trans-1"),
-        )
+        ).run_serial()
         assert set(result.series) == {"Multi-Trans-M", "Multi-Trans-1"}
         assert all(len(v) == 2 for v in result.series.values())
 
     def test_inference_sweep_unknown_variant(self, gw_scale, policy_cache):
         with pytest.raises(ValueError):
-            experiments.gridworld_inference_sweep(
+            experiments.gridworld_inference_plan(
                 scale=gw_scale, ber_values=(0.0,), cache=policy_cache, repeats=1,
                 variants=("Quad-Trans",),
-            )
+            ).run_serial()
 
     def test_evaluate_gridworld_policy(self, gw_scale, tiny_gridworld_policies):
         rate = experiments.evaluate_gridworld_policy(
@@ -81,32 +81,32 @@ class TestGridworldInference:
 
 class TestDroneExperiments:
     def test_drone_training_heatmap(self, drone_scale, policy_cache):
-        result = experiments.drone_training_heatmap(
+        result = experiments.drone_training_plan(
             "server", scale=drone_scale, ber_values=(0.0, 1e-1), episode_fractions=(0.5,),
             cache=policy_cache,
-        )
+        ).run_serial()
         assert result.values.shape == (2, 1)
         assert (result.values >= 0.0).all()
 
     def test_drone_count_sweep(self, drone_scale, policy_cache):
-        result = experiments.drone_count_sweep(
+        result = experiments.drone_count_plan(
             scale=drone_scale, drone_counts=(2,), ber_values=(0.0, 1e-1), cache=policy_cache
-        )
+        ).run_serial()
         assert "(2,server)" in result.series and "(2,agent)" in result.series
 
     def test_communication_interval_study(self, drone_scale, policy_cache):
-        result = experiments.communication_interval_study(
+        result = experiments.communication_interval_plan(
             scale=drone_scale, interval_multipliers=(1, 2), cache=policy_cache
-        )
+        ).run_serial()
         assert set(result.series) == {"no_fault", "agent_fault", "server_fault",
                                       "communication_rounds"}
         rounds = result.series["communication_rounds"]
         assert rounds[0] >= rounds[1]
 
     def test_datatype_study(self, drone_scale, policy_cache):
-        result = experiments.datatype_study(
+        result = experiments.datatype_study_plan(
             scale=drone_scale, ber_values=(0.0, 1e-2), cache=policy_cache, repeats=1
-        )
+        ).run_serial()
         assert set(result.series) == {"Q(1,4,11)", "Q(1,7,8)", "Q(1,10,5)"}
 
     def test_evaluate_drone_policy(self, drone_scale, tiny_drone_policy):
@@ -118,28 +118,28 @@ class TestDroneExperiments:
 
 class TestMitigationExperiments:
     def test_training_mitigation_heatmap_gridworld(self, gw_scale, policy_cache):
-        result = experiments.training_mitigation_heatmap(
+        result = experiments.training_mitigation_plan(
             "gridworld", "server", scale=gw_scale, ber_values=(0.0, 0.02),
             episode_fractions=(0.8,), cache=policy_cache,
-        )
+        ).run_serial()
         assert result.values.shape == (2, 1)
         assert result.metadata["checkpoint_interval"] == 5
 
     def test_training_mitigation_invalid_workload(self):
         with pytest.raises(ValueError):
-            experiments.training_mitigation_heatmap("cartpole", "server")
+            experiments.training_mitigation_plan("cartpole", "server")
 
     def test_inference_mitigation_sweep_gridworld(self, gw_scale, policy_cache):
-        result = experiments.inference_mitigation_sweep(
+        result = experiments.inference_mitigation_plan(
             "gridworld", scale=gw_scale, ber_values=(0.0, 0.02), cache=policy_cache, repeats=1
-        )
+        ).run_serial()
         assert set(result.series) == {"no_mitigation", "mitigation"}
         assert result.metadata["max_improvement_factor"] is not None
 
     def test_inference_mitigation_sweep_drone(self, drone_scale, policy_cache):
-        result = experiments.inference_mitigation_sweep(
+        result = experiments.inference_mitigation_plan(
             "drone", scale=drone_scale, ber_values=(0.0, 1e-2), cache=policy_cache, repeats=1
-        )
+        ).run_serial()
         assert len(result.series["mitigation"]) == 2
 
 

@@ -39,40 +39,13 @@ class TestSerialParallelDeterminism:
         parallel = CampaignRunner(gridworld_scale=tiny_scale, cache=policy_cache, workers=2)
         assert _payload(serial.run("fig4")) == _payload(parallel.run("fig4"))
 
-    def test_experiment_function_matches_plan(self, tiny_scale):
-        """The public experiment function IS the serial plan execution."""
-        from repro.core.experiments.gridworld_training import gridworld_training_heatmap
-
-        direct = gridworld_training_heatmap(
-            "agent", scale=tiny_scale, ber_values=(0.0, 0.02), episode_fractions=(0.5,)
-        )
-        plan = gridworld_training_plan(
-            "agent", scale=tiny_scale, ber_values=(0.0, 0.02), episode_fractions=(0.5,)
-        )
-        assert _payload(direct) == _payload(plan.run_serial())
-
-    def test_framework_workers_kwarg(self, tiny_scale, policy_cache):
-        from repro.core import FaultCharacterizationFramework
-
-        framework = FaultCharacterizationFramework(
-            gridworld_scale=tiny_scale, cache=policy_cache
-        )
-        serial = framework.run("fig3a")
-        parallel = framework.run("fig3a", workers=2)
-        assert "fig3a" in framework.results
-        assert _payload(serial) == _payload(parallel)
-
 
 class TestPlans:
     def test_every_registered_artifact_is_plannable(self, tiny_scale, policy_cache):
-        from repro.core import FaultCharacterizationFramework
-
-        framework = FaultCharacterizationFramework(
-            gridworld_scale=tiny_scale, cache=policy_cache
-        )
-        missing = set(framework.experiment_ids) - set(plannable_experiment_ids())
-        # fig7a/fig8a-style ids must all resolve to a plan.
-        assert not missing
+        runner = CampaignRunner(gridworld_scale=tiny_scale, cache=policy_cache)
+        # fig7a/fig8a-style ids and the single-cell fig3e/fig9 all resolve to a plan.
+        assert runner.experiment_ids == plannable_experiment_ids()
+        assert {"fig3e", "fig7a", "fig8a", "fig9"} <= set(runner.experiment_ids)
 
     def test_heatmap_plan_shape(self, tiny_scale):
         plan = gridworld_training_plan(

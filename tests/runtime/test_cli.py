@@ -4,6 +4,11 @@ These exercise the parser layer only — campaign execution is covered by
 ``test_campaign_runner.py``/``test_sharding.py`` and the CI jobs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import cli
@@ -463,3 +468,44 @@ class TestClientSocketResolution:
     def test_unreachable_socket_is_an_error_not_a_crash(self, capsys, tmp_path):
         assert main(["cancel", "ghost", "--socket", str(tmp_path / "nope.sock")]) == 1
         assert "[cancel] FAILED" in _error_text(capsys)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``... | head``) ends the command
+    quietly: no ``BrokenPipeError`` traceback on stderr."""
+
+    @staticmethod
+    def _run_with_closed_stdout(arguments):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child can write a byte
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.runtime.cli", *arguments],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        return completed
+
+    def test_list(self):
+        completed = self._run_with_closed_stdout(["--list"])
+        stderr = completed.stderr.decode()
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
+        assert completed.returncode == 1
+
+    def test_query(self, tmp_path):
+        TestStoreSubcommands._journal(tmp_path)
+        assert main(["ingest", str(tmp_path)]) == 0
+        completed = self._run_with_closed_stdout(
+            ["query", "cells", "demo", "--journal-dir", str(tmp_path), "--format", "ndjson"]
+        )
+        stderr = completed.stderr.decode()
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
+        assert completed.returncode == 1

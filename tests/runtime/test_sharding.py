@@ -147,6 +147,12 @@ class TestMergeOnly:
         with pytest.raises(ShardMergeError, match="no shard journals"):
             CampaignRunner(journal_dir=tmp_path).merge_shards(_plan())
 
+    def test_undecodable_shard_name_rejected(self, tmp_path):
+        # Matches the discovery glob but decodes to no valid ShardSpec.
+        (tmp_path / "fig6a.shard-0-of-2.jsonl").write_text("")
+        with pytest.raises(ShardMergeError, match="has an invalid name"):
+            discover_shard_journals(tmp_path, "fig6a")
+
     def test_incomplete_shard_names_missing_cells(self, tmp_path):
         _run_shards(tmp_path, 2)
         path = tmp_path / "sharded.shard-2-of-2.jsonl"

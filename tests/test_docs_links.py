@@ -1,9 +1,10 @@
 """Internal-link integrity for the repo's markdown docs.
 
-CI's ``docs`` job runs this file on its own; it also rides along in tier-1.
 Every relative markdown link in README.md and docs/ must point at a file (or
 directory) that exists, and every intra-document anchor must match a heading
-— a renamed module or section breaks the build, not the reader.
+— a renamed module or section breaks the build, not the reader.  Every
+``*.md`` file the code in ``src/`` and ``benchmarks/`` cites (by its path
+from the repository root) must exist too.
 """
 
 import re
@@ -16,6 +17,14 @@ DOCUMENTS = sorted([REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")]
 
 #: ``[text](target)`` — good enough for the plain markdown used here.
 _LINK_PATTERN = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+
+#: A markdown file name cited in code, e.g. ``docs/RESULTS.md``.
+_CITED_DOC_PATTERN = re.compile(r"[\w./-]*\w\.md\b")
+CODE_FILES = sorted(
+    path
+    for directory in ("src", "benchmarks")
+    for path in (REPO_ROOT / directory).rglob("*.py")
+)
 
 
 def _slugify(heading: str) -> str:
@@ -65,3 +74,14 @@ def test_internal_links_resolve(document):
     assert not broken, (
         f"{document.relative_to(REPO_ROOT)} has broken internal links: {broken}"
     )
+
+
+def test_docs_cited_in_code_exist():
+    missing = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {name}"
+        for path in CODE_FILES
+        for number, line in enumerate(path.read_text(encoding="utf8").splitlines(), 1)
+        for name in _CITED_DOC_PATTERN.findall(line)
+        if not (REPO_ROOT / name).exists()
+    ]
+    assert not missing, f"code cites markdown files that do not exist: {missing}"
